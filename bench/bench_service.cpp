@@ -132,6 +132,7 @@ double run_config(contract::ContractionForest& c, const forest::Forest& f,
       .num("max_update_queue_depth", s.max_update_queue_depth)
       .num("snapshot_buffers_reused", s.snapshot_buffers_reused)
       .num("snapshot_buffers_allocated", s.snapshot_buffers_allocated)
+      .num("snapshot_patches", s.snapshot_patches)
       .num("wal_records", s.wal_records)
       .num("wal_bytes", s.wal_bytes)
       .num("checkpoints_written", s.checkpoints_written)

@@ -53,8 +53,13 @@ std::optional<std::string> check_change_set(const Forest& f,
   for (VertexId v : vplus) {
     if (v < f.capacity() && f.present(v)) return "V+ vertex already present";
   }
+  // Edge children may lie beyond the universe (untrusted ids, or V+
+  // vertices that grow it); Forest::has_edge indexes without a check.
+  auto in_forest = [&](const Edge& e) {
+    return e.child < f.capacity() && f.has_edge(e.child, e.parent);
+  };
   for (const Edge& e : eminus) {
-    if (!f.has_edge(e.child, e.parent)) return "E- edge not in forest";
+    if (!in_forest(e)) return "E- edge not in forest";
   }
   auto endpoint_exists = [&](VertexId v) {
     return vplus.count(v) != 0 ||
@@ -65,7 +70,7 @@ std::optional<std::string> check_change_set(const Forest& f,
     if (e.child == e.parent) return "E+ self-loop";
     // An edge may be deleted and re-inserted within one batch (E- ∩ E+):
     // the deletion happens first, so the insertion sees it absent.
-    if (f.has_edge(e.child, e.parent) && !eminus.count(e)) {
+    if (in_forest(e) && !eminus.count(e)) {
       return "E+ edge already in forest";
     }
     if (!endpoint_exists(e.child) || !endpoint_exists(e.parent)) {

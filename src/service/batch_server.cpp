@@ -36,16 +36,12 @@ BatchServer::BatchServer(contract::ContractionForest& c, ServiceConfig config,
   // version; any same-named leftover holds only records recovery already
   // discarded (see durability::Manager::open_log).
   if (cfg_.durability) cfg_.durability->open_log(version_);
-  publish_version(version_);
+  auto buf = store_.begin_build();
+  buf->assign_from(rcf_, &agg_, version_);
+  store_.publish(std::move(buf));
 }
 
 BatchServer::~BatchServer() { stop(); }
-
-void BatchServer::publish_version(std::uint64_t version) {
-  auto buf = store_.begin_build();
-  buf->assign_from(rcf_, &agg_, version);
-  store_.publish(std::move(buf));
-}
 
 std::future<QueryResult> BatchServer::submit_queries(QueryBatch q) {
   return enqueue_queries(std::move(q), std::nullopt);
@@ -398,7 +394,7 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
       update ? update->request.batch.size() : 0;
 
   contract::UpdateStats ustats;
-  contract::TouchedRecorder touched;
+  touched_.clear();
   std::exception_ptr update_error;
   bool abort_exhausted = false;  // injected abort survived all retries
   std::uint64_t retries = 0;
@@ -414,7 +410,7 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
         if (PARCT_FAULT_POINT(fault::Site::kEpochApply)) {
           throw fault::InjectedFault(fault::Site::kEpochApply);
         }
-        ustats = updater_.apply(update->request.batch, &touched);
+        ustats = updater_.apply(update->request.batch, &touched_);
         update_error = nullptr;
         break;
       } catch (const fault::InjectedFault&) {
@@ -520,20 +516,30 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
         // set is the event-fired vertices plus the batch's V- (which fires
         // no event). prepare_update must see the pre-refresh events (old
         // representatives), so it runs before refresh.
-        std::vector<VertexId>& tv = touched.vertices();
+        std::vector<VertexId>& tv = touched_.vertices();
         tv.insert(tv.end(), update->request.batch.remove_vertices.begin(),
                   update->request.batch.remove_vertices.end());
         agg_.prepare_update(tv);
         rcf_.refresh(tv);
         agg_.apply_update();
+        // The ids this version changes, for the snapshot patch: the repair
+        // region (which holds every refreshed event and every rewritten
+        // accumulator) plus each reweighted vertex's representative chain.
+        const std::vector<VertexId>& region = agg_.last_region();
+        changed_.assign(region.begin(), region.end());
         for (const auto& [v, w] : update->request.vertex_weights) {
-          if (v < rcf_.size() && rcf_.present(v)) agg_.set_weight(v, w);
+          if (v < rcf_.size() && rcf_.present(v)) {
+            agg_.set_weight(v, w);
+            for (VertexId u = v; u != kNoVertex; u = rcf_.representative(u)) {
+              changed_.push_back(u);
+            }
+          }
         }
         if (cfg_.validate_updates) {
           mirror_ = forest::apply_change_set(mirror_, update->request.batch);
         }
         ++version_;
-        publish_version(version_);
+        store_.publish_changes(rcf_, &agg_, version_, changed_);
         publish_secs = contract::stats_since(t_p);
         // Fulfilled only after publication: a waiter that then calls
         // snapshot() observes its own write — including after a retried
@@ -610,6 +616,7 @@ ServiceStats BatchServer::stats() const {
   s.snapshots_published = store_.published();
   s.snapshot_buffers_reused = store_.buffers_reused();
   s.snapshot_buffers_allocated = store_.buffers_allocated();
+  s.snapshot_patches = store_.patches();
   if (cfg_.durability) {
     s.wal_records = cfg_.durability->wal_records();
     s.wal_bytes = cfg_.durability->wal_bytes();

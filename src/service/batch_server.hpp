@@ -219,6 +219,9 @@ struct ServiceStats {
   std::uint64_t snapshots_published = 0;
   std::uint64_t snapshot_buffers_reused = 0;
   std::uint64_t snapshot_buffers_allocated = 0;
+  /// Publishes that copied only the changed entries into the recycled
+  /// buffer; the other snapshots_published copied every table.
+  std::uint64_t snapshot_patches = 0;
   std::uint64_t backpressure_waits = 0;
   std::uint64_t max_query_queue_depth = 0;
   std::uint64_t max_update_queue_depth = 0;
@@ -397,7 +400,6 @@ class BatchServer {
                      std::size_t query_depth, std::size_t update_depth,
                      bool allow_overlap) PARCT_EXCLUDES(mu_, stats_mu_);
   QueryResult answer(const QueryBatch& q, const Snapshot& snap) const;
-  void publish_version(std::uint64_t version);
 
   contract::ContractionForest& c_;
   contract::DynamicUpdater updater_;
@@ -405,6 +407,11 @@ class BatchServer {
   rc::TreeAggregate<Weight> agg_;
   forest::Forest mirror_;  // maintained only when validate_updates
   SnapshotStore store_;
+  // Update scratch, reused across epochs so the update path allocates
+  // nothing in steady state: the contraction events apply() fires, and
+  // the ids the published version changed.
+  contract::TouchedRecorder touched_;
+  std::vector<VertexId> changed_;
   ServiceConfig cfg_;
   std::uint64_t version_ = 0;  // engine/step thread only
   bool failed_ = false;        // an apply() threw mid-flight; updates halted

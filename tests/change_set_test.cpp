@@ -139,6 +139,16 @@ TEST(ChangeSet, ApplyGrowsUniverseForLargeIds) {
   EXPECT_TRUE(g.present(20));
 }
 
+TEST(ChangeSet, EdgesBeyondTheUniverseAreCheckedNotRead) {
+  Forest f = small_tree();  // capacity 8
+  ChangeSet grow;
+  grow.ins_vertex(20).ins_vertex(23).ins_edge(23, 20).ins_edge(20, 4);
+  EXPECT_FALSE(check_change_set(f, grow).has_value());
+  ChangeSet bogus;
+  bogus.del_edge(1000, 0);
+  EXPECT_TRUE(check_change_set(f, bogus).has_value());
+}
+
 TEST(ChangeSet, SizeAccounting) {
   ChangeSet m;
   m.ins_vertex(1).del_vertex(2).ins_edge(3, 4).del_edge(5, 6);

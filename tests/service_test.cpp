@@ -1,12 +1,14 @@
 // Serving-layer unit tests: snapshot isolation, epoch semantics, version
 // monotonicity, sentinel handling for untrusted ids, update validation,
-// buffer recycling, and the engine-thread round trip.
+// buffer recycling, every published version against a from-scratch build,
+// and the engine-thread round trip.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <future>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -17,6 +19,8 @@
 #include "hashing/splitmix64.hpp"
 #include "parallel/scheduler.hpp"
 #include "rc/batch_queries.hpp"
+#include "rc/rc_forest.hpp"
+#include "rc/tree_aggregate.hpp"
 #include "service/batch_server.hpp"
 
 namespace parct::service {
@@ -210,6 +214,174 @@ TEST_F(ServiceTest, SteadyStateRecyclesSnapshotBuffers) {
   EXPECT_LE(s.snapshot_buffers_allocated, 2u)
       << "steady state must recycle the double buffer, not allocate";
   EXPECT_GE(s.snapshot_buffers_reused, 5u);
+}
+
+// Entry-by-entry equality of every table of two snapshots; names the
+// first differing entry.
+::testing::AssertionResult same_tables(const Snapshot& got,
+                                       const Snapshot& want) {
+  if (got.version != want.version) {
+    return ::testing::AssertionFailure()
+           << "version " << got.version << " != " << want.version;
+  }
+  if (got.events.size() != want.events.size() ||
+      got.weights.size() != want.weights.size() ||
+      got.accumulators.size() != want.accumulators.size()) {
+    return ::testing::AssertionFailure() << "table sizes differ";
+  }
+  for (std::size_t v = 0; v < got.events.size(); ++v) {
+    const rc::Event& a = got.events[v];
+    const rc::Event& b = want.events[v];
+    if (a.kind != b.kind || a.round != b.round || a.into != b.into ||
+        a.over != b.over) {
+      return ::testing::AssertionFailure() << "event of vertex " << v;
+    }
+  }
+  for (std::size_t v = 0; v < got.weights.size(); ++v) {
+    if (got.weights[v] != want.weights[v]) {
+      return ::testing::AssertionFailure() << "weight of vertex " << v;
+    }
+    if (got.accumulators[v] != want.accumulators[v]) {
+      return ::testing::AssertionFailure() << "accumulator of vertex " << v;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The differential check of publication: after every update, the served
+// snapshot equals, table by table, (a) assign_from of derived layers
+// rebuilt over the live structure and (b) a from-scratch construct +
+// RCForest + TreeAggregate of an oracle forest at that version. The
+// history drives both publish paths — patches in steady state, full
+// copies for the first versions, while a reader pins the recycled buffer,
+// when V+ grows the capacity and around a large batch — and asserts which
+// one each version took.
+TEST_F(ServiceTest, EveryPublishedVersionEqualsFromScratchBuild) {
+  std::vector<Weight> w(kN);
+  for (VertexId v = 0; v < kN; ++v) w[v] = static_cast<Weight>(v % 7) + 1;
+  BatchServer server(*c_, {}, w);
+  forest::Forest model = f_;
+
+  auto expect_matches_scratch = [&](const Snapshot& snap) {
+    const rc::RCForest live_rc(*c_);
+    const rc::TreeAggregate<Weight> live_agg(live_rc, w);
+    Snapshot live;
+    live.assign_from(live_rc, &live_agg, snap.version);
+    EXPECT_TRUE(same_tables(snap, live)) << "vs live, v" << snap.version;
+
+    contract::ContractionForest scratch(model.capacity(), 4, 3);
+    contract::construct(scratch, model);
+    const rc::RCForest scratch_rc(scratch);
+    const rc::TreeAggregate<Weight> scratch_agg(scratch_rc, w);
+    Snapshot oracle;
+    oracle.assign_from(scratch_rc, &scratch_agg, snap.version);
+    EXPECT_TRUE(same_tables(snap, oracle)) << "vs scratch, v" << snap.version;
+  };
+
+  // Applies one update, mirrors it on the model, checks the published
+  // version, and checks that it patched iff `patch`.
+  std::uint64_t version = 0;
+  auto step = [&](forest::ChangeSet batch,
+                  std::vector<std::pair<VertexId, Weight>> weights,
+                  bool patch, const std::string& what) {
+    SCOPED_TRACE(what);
+    const std::uint64_t patches = server.stats().snapshot_patches;
+    model = forest::apply_change_set(model, batch);
+    w.resize(model.capacity(), 0);
+    for (const auto& [v, wt] : weights) {
+      if (model.present(v)) w[v] = wt;
+    }
+    UpdateRequest u;
+    u.batch = std::move(batch);
+    u.vertex_weights = std::move(weights);
+    auto fut = server.submit_update(std::move(u));
+    ASSERT_TRUE(server.step());
+    ASSERT_EQ(fut.get().version, ++version);
+    EXPECT_EQ(server.stats().snapshot_patches - patches, patch ? 1u : 0u)
+        << "v" << version;
+    expect_matches_scratch(*server.snapshot());
+  };
+
+  expect_matches_scratch(*server.snapshot());
+  // Cuts and links. Versions 0 and 1 find no buffer two versions old;
+  // every later small update patches.
+  std::vector<Edge> cut;
+  for (int i = 0; i < 8; ++i) {
+    forest::ChangeSet b;
+    if (i % 3 == 2) {
+      b.ins_edge(cut.back().child, cut.back().parent);
+      cut.pop_back();
+    } else {
+      b = forest::make_delete_batch(model, 1, 100 + i);
+      cut.push_back(b.remove_edges[0]);
+    }
+    step(std::move(b), {}, /*patch=*/i >= 1, "cut/link " + std::to_string(i));
+  }
+
+  // Weight-only updates: the changed ids are the reweighted chains alone.
+  for (int i = 0; i < 3; ++i) {
+    const VertexId v = static_cast<VertexId>(37 * i + 5);
+    step({}, {{v, 1000 + i}}, true, "weight " + std::to_string(i));
+  }
+
+  // Vertex removals and re-adds, with new weights on the way back.
+  const forest::ChangeSet removal = forest::make_vertex_batch(model, 0, 2, 9);
+  step(removal, {}, true, "remove vertices");
+  forest::ChangeSet readd;
+  for (VertexId v : removal.remove_vertices) readd.ins_vertex(v);
+  for (const Edge& e : removal.remove_edges) readd.ins_edge(e.child, e.parent);
+  step(readd, {{removal.remove_vertices[0], 50}}, true, "re-add vertices");
+
+  // A reader pins the front buffer across several versions. While it is
+  // pinned, every other publish finds no recycled buffer and copies.
+  {
+    const SnapshotHandle held = server.snapshot();
+    const Snapshot held_copy = *held;
+    for (int i = 0; i < 4; ++i) {
+      forest::ChangeSet b;
+      if (i % 2 == 0) {
+        b = forest::make_delete_batch(model, 1, 300 + i);
+        cut.push_back(b.remove_edges[0]);
+      } else {
+        b.ins_edge(cut.back().child, cut.back().parent);
+        cut.pop_back();
+      }
+      step(std::move(b), {{static_cast<VertexId>(11 * i), 7}}, i % 2 == 0,
+           "pinned reader " + std::to_string(i));
+    }
+    EXPECT_EQ(held.version(), held_copy.version);
+    EXPECT_TRUE(same_tables(*held, held_copy)) << "a pinned version changed";
+  }
+
+  // V+ beyond the initial capacity: tables grow, so this version and the
+  // next (its recycled buffer still has the old size) copy everything.
+  VertexId leaf = 0;
+  while (!model.present(leaf) || !model.is_leaf(leaf)) ++leaf;
+  const auto a = static_cast<VertexId>(kN);
+  const auto b = static_cast<VertexId>(kN + 3);
+  forest::ChangeSet grow;
+  grow.ins_vertex(a).ins_vertex(b).ins_edge(b, a).ins_edge(a, leaf);
+  step(std::move(grow), {{a, 40}, {b, 60}}, false, "grow capacity");
+  step({}, {{b, 61}}, false, "after growth");
+  step(forest::make_delete_batch(model, 1, 400), {}, true, "steady again");
+  forest::ChangeSet drop_new;
+  drop_new.del_edge(b, a).del_vertex(b);
+  step(std::move(drop_new), {}, true, "remove a grown id");
+
+  // One large batch: its changed ids exceed the patch rule, so it and the
+  // version after it copy every table; then patching resumes.
+  const forest::ChangeSet large = forest::make_delete_batch(model, 300, 500);
+  step(large, {}, false, "large batch");
+  forest::ChangeSet relink;
+  for (const Edge& e : large.remove_edges) relink.ins_edge(e.child, e.parent);
+  step(std::move(relink), {}, false, "large re-link");
+  step({}, {{a, 41}}, false, "after large");
+  step(forest::make_delete_batch(model, 1, 600), {}, true, "steady at end");
+
+  const ServiceStats s = server.stats();
+  EXPECT_EQ(s.snapshots_published, version + 1);
+  EXPECT_GT(s.snapshot_patches, 0u);
+  EXPECT_LT(s.snapshot_patches, s.snapshots_published);
 }
 
 TEST_F(ServiceTest, EngineThreadServesSubmittersEndToEnd) {

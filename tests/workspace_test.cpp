@@ -15,6 +15,7 @@
 #include "contraction/dynamic_update.hpp"
 #include "forest/generators.hpp"
 #include "forest/tree_builder.hpp"
+#include "parallel/adaptive.hpp"
 #include "parallel/scheduler.hpp"
 #include "primitives/workspace.hpp"
 
@@ -144,9 +145,13 @@ TEST(WorkspaceTest, WorkerWorkspaceIsStablePerThread) {
 // allocations — every scratch acquire is a pool hit and no reused buffer
 // ever grows. Verified for an insert/inverse-delete cycle, which restores
 // the structure exactly between iterations (differential-tested identity),
-// so every cycle re-executes the same allocation profile.
+// so every cycle re-executes the same allocation profile. The cutover is
+// pinned to 0 (always parallel): a calibrated cutover at or above the
+// batch's frontiers would run the whole update inline, acquire nothing,
+// and leave the pooled path this test is about unexercised.
 TEST(WorkspaceSteadyState, PropagateIsAllocationFreeAfterWarmup) {
   par::scheduler::initialize(4);
+  par::set_serial_cutover(0);
   const std::size_t n = 50000;
   forest::Forest full = forest::build_tree(n, 4, 0.6, 0x5EEDull);
   auto [initial, batch] = forest::make_insert_batch(full, 800, 31);
@@ -174,6 +179,7 @@ TEST(WorkspaceSteadyState, PropagateIsAllocationFreeAfterWarmup) {
     EXPECT_EQ(inv.ws_container_growths, 0u) << "delete, cycle " << cycle;
     EXPECT_EQ(inv.ws_bytes_allocated, 0u) << "delete, cycle " << cycle;
   }
+  par::clear_serial_cutover();
   par::scheduler::initialize(1);
 }
 
