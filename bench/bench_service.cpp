@@ -122,6 +122,9 @@ double run_config(contract::ContractionForest& c, const forest::Forest& f,
       .num("query_s_total", s.query_seconds)
       .num("update_s_total", s.update_seconds)
       .num("publish_s_total", s.publish_seconds)
+      .num("validate_s_total", s.validate_seconds)
+      .num("wal_s_total", s.wal_seconds)
+      .num("validate_fallbacks", s.validate_fallbacks)
       .num("backpressure_waits", s.backpressure_waits)
       .num("queries_shed", s.queries_shed)
       .num("epoch_retries", s.epoch_retries)

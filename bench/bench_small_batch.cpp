@@ -1,7 +1,9 @@
 // Small-batch update latency through the serving stack: one
 // BatchServer::submit_update + epoch step per measurement, over forest
-// sizes n in {10^4, 10^5, 10^6} and batch sizes m in {1, 10, 100}. This
+// sizes n in {10^4, 10^5, 10^6}, batch sizes m in {1, 10, 100}, and
+// update validation off and on (ServiceConfig::validate_updates). This
 // is the end-to-end cost a client pays for a tiny update — admission,
+// validation (O(m log n); docs/PERFORMANCE.md "Update validation"),
 // apply() (which takes the adaptive serial fast path for sub-cutover
 // frontiers; docs/PERFORMANCE.md "Small-batch fast path"), derived-layer
 // repair, and snapshot publication (which patches only the changed
@@ -13,9 +15,11 @@
 // the median and quartiles over PARCT_BENCH_REPS timed updates.
 //
 // The m=1 rows are the latency headline; the JSONL rows carry
-// chose_serial / fused_passes / ws_misses / snapshot_patches so CI can
-// gate the fast path and the patch publish staying engaged
-// (tools/check_alloc_budget.py with bench/alloc_budget.json).
+// chose_serial / fused_passes / ws_misses / snapshot_patches /
+// validate_fallbacks so CI can gate the fast path, the patch publish and
+// the O(m log n) validation staying engaged (tools/check_alloc_budget.py
+// with bench/alloc_budget.json). The batches re-link edges across trees,
+// so validation never needs its O(n) exact path.
 #include <algorithm>
 #include <chrono>
 #include <future>
@@ -41,6 +45,76 @@ double quantile(std::vector<double>& xs, double q) {
   return xs[static_cast<std::size_t>(pos + 0.5)];
 }
 
+// One row: `reps` timed applications of `batch`, each undone by `inverse`
+// outside the clock, so `c` ends as it started.
+void run_row(contract::ContractionForest& c, std::size_t n, std::size_t m,
+             bool validate, const forest::ChangeSet& batch,
+             const forest::ChangeSet& inverse, int reps,
+             bench::TableWriter& table) {
+  service::ServiceConfig cfg;
+  cfg.validate_updates = validate;
+  service::BatchServer server(
+      c, cfg, std::vector<service::Weight>(c.capacity(), 1));
+
+  auto apply_once = [&](const forest::ChangeSet& cs) {
+    service::UpdateRequest u;
+    u.batch = cs;
+    std::future<service::UpdateResult> fut =
+        server.submit_update(std::move(u));
+    server.step();
+    return fut.get();
+  };
+
+  // Warm-up cycle: first forward/inverse pair grows every scratch
+  // buffer to steady-state capacity (later reps must show
+  // ws_misses == 0) and fills both snapshot buffers.
+  apply_once(batch);
+  apply_once(inverse);
+
+  bench::StatsDump dump("small_batch");
+  service::UpdateResult last;
+  std::vector<double> latency;
+  std::vector<double> publish;
+  std::vector<double> validation;
+  for (int r = 0; r < reps; ++r) {
+    const service::ServiceStats s0 = server.stats();
+    const auto t0 = std::chrono::steady_clock::now();
+    last = apply_once(batch);
+    const auto t1 = std::chrono::steady_clock::now();
+    const service::ServiceStats s1 = server.stats();
+    latency.push_back(std::chrono::duration<double>(t1 - t0).count());
+    publish.push_back(s1.publish_seconds - s0.publish_seconds);
+    validation.push_back(s1.validate_seconds - s0.validate_seconds);
+    apply_once(inverse);  // restore outside the clock
+  }
+  const double med = quantile(latency, 0.5);
+  const double pub = quantile(publish, 0.5);
+  const double val = quantile(validation, 0.5);
+  const service::ServiceStats s = server.stats();
+
+  table.row({std::to_string(n), std::to_string(m), validate ? "1" : "0",
+             bench::fmt_s(med), bench::fmt(med / static_cast<double>(m) * 1e6),
+             bench::fmt_s(pub), bench::fmt_s(val),
+             std::to_string(s.snapshot_patches),
+             std::to_string(s.validate_fallbacks),
+             std::to_string(last.stats.chose_serial),
+             std::to_string(last.stats.rounds)});
+
+  dump.num("n", n)
+      .num("batch_m", m)
+      .num("validate", validate ? 1 : 0)
+      .num("reps", reps)
+      .num("latency_s", med)
+      .num("latency_q1_s", quantile(latency, 0.25))
+      .num("latency_q3_s", quantile(latency, 0.75))
+      .num("publish_s", pub)
+      .num("validate_s", val)
+      .num("snapshot_patches", s.snapshot_patches)
+      .num("validate_fallbacks", s.validate_fallbacks);
+  bench::add_update_stats(dump, last.stats);
+  dump.emit();
+}
+
 }  // namespace
 
 int main() {
@@ -51,8 +125,9 @@ int main() {
   bench::TableWriter table(
       "Small-batch update latency through BatchServer (chain factor 0.6, "
       "step mode, median of " + std::to_string(reps) + ")",
-      {"n", "batch_m", "latency_s", "latency_per_edge_us", "publish_s",
-       "snapshot_patches", "chose_serial", "rounds"});
+      {"n", "batch_m", "validate", "latency_s", "latency_per_edge_us",
+       "publish_s", "validate_s", "snapshot_patches", "validate_fallbacks",
+       "chose_serial", "rounds"});
 
   for (std::size_t n = 10000; n <= max_n && n <= 1000000; n *= 10) {
     forest::Forest full = forest::build_tree(n, 4, 0.6, 0x53A17'BA7CULL);
@@ -63,60 +138,9 @@ int main() {
 
       contract::ContractionForest c(full.capacity(), 4, 99);
       contract::construct(c, initial);
-
-      service::ServiceConfig cfg;
-      cfg.validate_updates = false;  // measure the engine, not the checker
-      service::BatchServer server(
-          c, cfg, std::vector<service::Weight>(full.capacity(), 1));
-
-      auto apply_once = [&](const forest::ChangeSet& cs) {
-        service::UpdateRequest u;
-        u.batch = cs;
-        std::future<service::UpdateResult> fut =
-            server.submit_update(std::move(u));
-        server.step();
-        return fut.get();
-      };
-
-      // Warm-up cycle: first forward/inverse pair grows every scratch
-      // buffer to steady-state capacity (later reps must show
-      // ws_misses == 0) and fills both snapshot buffers.
-      apply_once(batch);
-      apply_once(inverse);
-
-      bench::StatsDump dump("small_batch");
-      service::UpdateResult last;
-      std::vector<double> latency;
-      std::vector<double> publish;
-      for (int r = 0; r < reps; ++r) {
-        const double p0 = server.stats().publish_seconds;
-        const auto t0 = std::chrono::steady_clock::now();
-        last = apply_once(batch);
-        const auto t1 = std::chrono::steady_clock::now();
-        latency.push_back(std::chrono::duration<double>(t1 - t0).count());
-        publish.push_back(server.stats().publish_seconds - p0);
-        apply_once(inverse);  // restore outside the clock
+      for (const bool validate : {false, true}) {
+        run_row(c, n, m, validate, batch, inverse, reps, table);
       }
-      const double med = quantile(latency, 0.5);
-      const double pub = quantile(publish, 0.5);
-      const std::uint64_t patches = server.stats().snapshot_patches;
-
-      table.row({std::to_string(n), std::to_string(m), bench::fmt_s(med),
-                 bench::fmt(med / static_cast<double>(m) * 1e6),
-                 bench::fmt_s(pub), std::to_string(patches),
-                 std::to_string(last.stats.chose_serial),
-                 std::to_string(last.stats.rounds)});
-
-      dump.num("n", n)
-          .num("batch_m", m)
-          .num("reps", reps)
-          .num("latency_s", med)
-          .num("latency_q1_s", quantile(latency, 0.25))
-          .num("latency_q3_s", quantile(latency, 0.75))
-          .num("publish_s", pub)
-          .num("snapshot_patches", patches);
-      bench::add_update_stats(dump, last.stats);
-      dump.emit();
     }
   }
   return 0;

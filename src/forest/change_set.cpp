@@ -51,6 +51,9 @@ std::optional<std::string> check_change_set(const Forest& f,
     }
   }
   for (VertexId v : vplus) {
+    // kNoVertex is the empty-slot sentinel, never an id; applying it
+    // would grow the universe to 2^32.
+    if (v == kNoVertex) return "V+ vertex is the kNoVertex sentinel";
     if (v < f.capacity() && f.present(v)) return "V+ vertex already present";
   }
   // Edge children may lie beyond the universe (untrusted ids, or V+

@@ -14,6 +14,7 @@
 #include "fault/fault_injection.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/scheduler.hpp"
+#include "rc/validate_batch.hpp"
 
 namespace parct::service {
 
@@ -28,8 +29,6 @@ BatchServer::BatchServer(contract::ContractionForest& c, ServiceConfig config,
       updater_(c),
       rcf_(c),
       agg_(rcf_, std::move(weights)),
-      mirror_(config.validate_updates ? c.extract_forest()
-                                      : forest::Forest(0)),
       cfg_(config),
       version_(initial_version) {
   // A durable server always appends to a segment based at its own initial
@@ -381,11 +380,21 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
     update.reset();
     ++rejected;
   }
+  // Validation reads the live structure and its RC roots, which equal the
+  // published version here: the previous epoch refreshed them, and this
+  // epoch's apply() has not started.
+  double validate_secs = 0;
+  std::uint64_t validate_fallbacks = 0;
   if (update && cfg_.validate_updates) {
-    if (auto err = forest::check_change_set(mirror_, update->request.batch)) {
+    const auto t_v = contract::stats_now();
+    const rc::ChangeSetVerdict verdict =
+        rc::validate_change_set(rcf_, update->request.batch);
+    validate_secs = contract::stats_since(t_v);
+    if (verdict.exact) ++validate_fallbacks;
+    if (verdict.error) {
       update->promise.set_exception(std::make_exception_ptr(
           std::invalid_argument("BatchServer: rejected update batch: " +
-                                *err)));
+                                *verdict.error)));
       update.reset();
       ++rejected;
     }
@@ -466,6 +475,7 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
   }
   const double query_secs = contract::stats_since(t_q);
 
+  double wal_secs = 0;
   double publish_secs = 0;
   bool applied = false;
   std::uint64_t checkpoint_failed = 0;
@@ -492,9 +502,11 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
       // *before* publish keeps every acknowledged update durable.
       bool durable = true;
       if (cfg_.durability) {
+        const auto t_w = contract::stats_now();
         try {
           cfg_.durability->append(version_ + 1, update->request.batch,
                                   update->request.vertex_weights);
+          wal_secs = contract::stats_since(t_w);
         } catch (...) {
           // The in-memory structure now leads the durable state (the
           // segment tail may even be torn). Fail-stop for updates: this
@@ -535,9 +547,6 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
             }
           }
         }
-        if (cfg_.validate_updates) {
-          mirror_ = forest::apply_change_set(mirror_, update->request.batch);
-        }
         ++version_;
         store_.publish_changes(rcf_, &agg_, version_, changed_);
         publish_secs = contract::stats_since(t_p);
@@ -576,6 +585,7 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
     stats_.deadline_rejections += deadline_rejected;
     stats_.epoch_retries += retries;
     stats_.checkpoint_failures += checkpoint_failed;
+    stats_.validate_fallbacks += validate_fallbacks;
     if (applied) {
       ++stats_.updates_applied;
       stats_.update_ops += update_ops;
@@ -584,6 +594,8 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
     stats_.query_seconds += query_secs;
     stats_.update_seconds += update_secs;
     stats_.publish_seconds += publish_secs;
+    stats_.validate_seconds += validate_secs;
+    stats_.wal_seconds += wal_secs;
     if constexpr (contract::kStatsEnabled) {
       if (stats_.epoch_log.size() < cfg_.max_epoch_log) {
         EpochRecord rec;

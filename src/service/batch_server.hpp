@@ -48,7 +48,6 @@
 #include "contraction/dynamic_update.hpp"
 #include "contraction/hooks.hpp"
 #include "forest/change_set.hpp"
-#include "forest/forest.hpp"
 #include "parallel/capability.hpp"
 #include "rc/rc_forest.hpp"
 #include "rc/tree_aggregate.hpp"
@@ -119,10 +118,12 @@ struct ServiceConfig {
   /// behaves as if this were off.
   bool overlap_updates = true;
 
-  /// Check every batch with forest::check_change_set against a mirrored
-  /// forest before applying; invalid batches reject their future with
-  /// std::invalid_argument instead of corrupting the structure. Costs
-  /// O(n) per update — serving default on, benches turn it off.
+  /// Check every batch's preconditions (forest/change_set.hpp) against the
+  /// live structure before applying, with rc::validate_change_set;
+  /// invalid batches reject their future with std::invalid_argument
+  /// instead of corrupting the structure. Costs O(m log n) expected per
+  /// batch of m; O(n) only on the exact path, for a batch that re-links
+  /// inside one pre-edit tree (counted in ServiceStats::validate_fallbacks).
   bool validate_updates = true;
 
   /// Cap on the per-epoch telemetry log (PARCT_STATS builds).
@@ -241,11 +242,16 @@ struct ServiceStats {
   std::uint64_t checkpoint_failures = 0; ///< checkpoint writes that failed
   std::uint64_t recovery_replayed = 0;   ///< WAL records replayed by recover()
 
+  /// Validations decided by the O(n) exact path (rc/validate_batch.hpp).
+  std::uint64_t validate_fallbacks = 0;
+
   // Wall-clock accumulations (0 unless built with PARCT_STATS).
   double epoch_seconds = 0;
   double query_seconds = 0;
   double update_seconds = 0;
   double publish_seconds = 0;
+  double validate_seconds = 0;  ///< update-batch validation
+  double wal_seconds = 0;       ///< WAL append, fsync included
 
   std::vector<EpochRecord> epoch_log;  // PARCT_STATS builds only
 };
@@ -405,7 +411,6 @@ class BatchServer {
   contract::DynamicUpdater updater_;
   rc::RCForest rcf_;
   rc::TreeAggregate<Weight> agg_;
-  forest::Forest mirror_;  // maintained only when validate_updates
   SnapshotStore store_;
   // Update scratch, reused across epochs so the update path allocates
   // nothing in steady state: the contraction events apply() fires, and

@@ -149,6 +149,23 @@ TEST(ChangeSet, EdgesBeyondTheUniverseAreCheckedNotRead) {
   EXPECT_TRUE(check_change_set(f, bogus).has_value());
 }
 
+TEST(ChangeSet, RejectsNoVertexSentinelAsId) {
+  // Regression: V+ = {kNoVertex} used to be rejected only because
+  // apply_change_set's Forest(2^32) threw bad_alloc after zeroing 4 GiB;
+  // where that copy succeeded, E+ (kNoVertex, p) would have written the
+  // empty-slot sentinel into p's child array. The rule is now explicit
+  // and O(1), so this test allocates nothing large.
+  Forest f = small_tree();
+  ChangeSet add;
+  add.ins_vertex(kNoVertex);
+  auto err = check_change_set(f, add);
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("kNoVertex"), std::string::npos) << *err;
+  ChangeSet link;
+  link.ins_vertex(kNoVertex).ins_edge(kNoVertex, 0);
+  EXPECT_TRUE(check_change_set(f, link).has_value());
+}
+
 TEST(ChangeSet, SizeAccounting) {
   ChangeSet m;
   m.ins_vertex(1).del_vertex(2).ins_edge(3, 4).del_edge(5, 6);

@@ -151,7 +151,8 @@ ChangeSet gen_edge_bounce(const Forest& cur, std::size_t k,
 
 }  // namespace
 
-Trace generate_trace(const WorkloadConfig& config) {
+Trace generate_trace(const WorkloadConfig& config,
+                     const CandidateObserver& observe) {
   SplitMix64 rng(config.seed);
   Trace t;
   t.master_seed = config.seed;
@@ -212,7 +213,9 @@ Trace generate_trace(const WorkloadConfig& config) {
         break;
     }
     if (m.empty()) continue;
-    if (forest::check_change_set(cur, m).has_value()) continue;
+    const bool valid = !forest::check_change_set(cur, m).has_value();
+    if (observe) observe(m, valid);
+    if (!valid) continue;
 
     TraceStep step;
     step.batch = m;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 
 #include "harness/trace.hpp"
 
@@ -35,7 +36,15 @@ struct WorkloadConfig {
   int shape = -1;
 };
 
+/// Sees every non-empty candidate batch the generators produce, in order,
+/// with forest::check_change_set's verdict against the forest generated so
+/// far: valid candidates become the trace's steps, invalid ones are
+/// discarded.
+using CandidateObserver =
+    std::function<void(const forest::ChangeSet& candidate, bool valid)>;
+
 /// Deterministically expands `config` into a full trace.
-Trace generate_trace(const WorkloadConfig& config);
+Trace generate_trace(const WorkloadConfig& config,
+                     const CandidateObserver& observe = {});
 
 }  // namespace parct::harness

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <stdexcept>
@@ -14,6 +15,8 @@
 #include <vector>
 
 #include "contraction/construct.hpp"
+#include "contraction/telemetry.hpp"
+#include "durability/manager.hpp"
 #include "forest/generators.hpp"
 #include "forest/validation.hpp"
 #include "hashing/splitmix64.hpp"
@@ -382,6 +385,165 @@ TEST_F(ServiceTest, EveryPublishedVersionEqualsFromScratchBuild) {
   EXPECT_EQ(s.snapshots_published, version + 1);
   EXPECT_GT(s.snapshot_patches, 0u);
   EXPECT_LT(s.snapshot_patches, s.snapshots_published);
+}
+
+// One invalid batch per precondition family, against `model`.
+std::vector<std::pair<std::string, forest::ChangeSet>> invalid_batches(
+    const forest::Forest& model) {
+  // v: a non-root vertex with a child u and parent p, in the tree of r1;
+  // x2: a vertex of another tree, rooted at r2; q: a vertex of largest
+  // degree.
+  VertexId v = 0;
+  while (!model.present(v) || model.is_root(v) || model.is_leaf(v)) ++v;
+  const VertexId p = model.parent(v);
+  VertexId u = kNoVertex;
+  for (VertexId c : model.children(v)) {
+    if (c != kNoVertex) u = c;
+  }
+  const VertexId r1 = forest::root_of(model, v);
+  VertexId x2 = 0;
+  while (!model.present(x2) || forest::root_of(model, x2) == r1) ++x2;
+  const VertexId r2 = forest::root_of(model, x2);
+  VertexId q = 0;
+  for (VertexId w = 0; w < model.capacity(); ++w) {
+    if (model.present(w) && model.degree(w) > model.degree(q)) q = w;
+  }
+  const auto cap = static_cast<VertexId>(model.capacity());
+
+  std::vector<std::pair<std::string, forest::ChangeSet>> out;
+  auto add = [&](std::string what) {
+    out.emplace_back(std::move(what), forest::ChangeSet{});
+    return &out.back().second;
+  };
+  add("V- absent, beyond the capacity")->del_vertex(cap + 5);
+  add("V- keeps its edges")->del_vertex(v);
+  add("V+ already present")->ins_vertex(r1);
+  // Regression: kNoVertex is the empty-slot sentinel. Admitted as a V+
+  // id, DynamicUpdater::apply would call ensure_capacity(2^32), throw
+  // and halt every later update (the valid batch after the table).
+  add("V+ is kNoVertex")->ins_vertex(kNoVertex).ins_edge(kNoVertex, r2);
+  add("E- not in the forest")->del_edge(v, x2);
+  add("duplicate E-")->del_edge(v, p).del_edge(v, p);
+  add("E+ endpoint beyond the capacity")->ins_edge(r2, cap + 9);
+  add("self-loop")->ins_edge(r2, r2);
+  add("second parent")->ins_edge(v, x2);
+  forest::ChangeSet* full = add("degree overflow");
+  for (int i = model.degree(q); i <= model.degree_bound(); ++i) {
+    const auto id = static_cast<VertexId>(cap + i);
+    full->ins_vertex(id).ins_edge(id, q);
+  }
+  add("cross-tree cycle")->ins_edge(r1, x2).ins_edge(r2, v);
+  add("in-tree cycle")->ins_edge(r1, v);
+  add("subtree moved into itself")->del_edge(v, p).ins_edge(v, u);
+  return out;
+}
+
+// Every invalid batch, submitted through step(), rejects its future with
+// std::invalid_argument, leaves the version alone and is counted. Then a
+// valid batch (a bounce, which takes the exact path, plus a cross-tree
+// link) publishes a version equal to a from-scratch build of `model`.
+void expect_rejections_then_apply(BatchServer& server, forest::Forest& model,
+                                  std::uint64_t coin_seed,
+                                  const std::vector<Weight>& w) {
+  const std::uint64_t version = server.version();
+  const std::uint64_t rejected = server.stats().updates_rejected;
+  const auto cases = invalid_batches(model);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto& [what, batch] = cases[i];
+    SCOPED_TRACE(what);
+    ASSERT_TRUE(forest::check_change_set(model, batch).has_value());
+    UpdateRequest u;
+    u.batch = batch;
+    auto fut = server.submit_update(std::move(u));
+    ASSERT_TRUE(server.step());
+    EXPECT_THROW(fut.get(), std::invalid_argument);
+    EXPECT_EQ(server.version(), version);
+    EXPECT_EQ(server.stats().updates_rejected, rejected + i + 1);
+  }
+
+  VertexId v = 0;
+  while (!model.present(v) || model.is_root(v)) ++v;
+  VertexId leaf = 0;
+  while (!model.present(leaf) || !model.is_leaf(leaf) ||
+         forest::root_of(model, leaf) != forest::root_of(model, v)) {
+    ++leaf;
+  }
+  VertexId other = 0;
+  while (!model.present(other) ||
+         forest::root_of(model, other) == forest::root_of(model, v)) {
+    ++other;
+  }
+  forest::ChangeSet valid;
+  valid.del_edge(v, model.parent(v)).ins_edge(v, model.parent(v));
+  valid.ins_edge(forest::root_of(model, other), leaf);
+  ASSERT_FALSE(forest::check_change_set(model, valid).has_value());
+  model = forest::apply_change_set(model, valid);
+
+  const std::uint64_t fallbacks = server.stats().validate_fallbacks;
+  UpdateRequest u;
+  u.batch = std::move(valid);
+  auto fut = server.submit_update(std::move(u));
+  ASSERT_TRUE(server.step());
+  ASSERT_EQ(fut.get().version, version + 1);
+  EXPECT_EQ(server.stats().validate_fallbacks, fallbacks + 1);
+  if constexpr (contract::kStatsEnabled) {
+    EXPECT_GT(server.stats().validate_seconds, 0.0);
+  }
+
+  contract::ContractionForest scratch(model.capacity(), 4, coin_seed);
+  contract::construct(scratch, model);
+  const rc::RCForest scratch_rc(scratch);
+  const rc::TreeAggregate<Weight> scratch_agg(scratch_rc, w);
+  Snapshot oracle;
+  oracle.assign_from(scratch_rc, &scratch_agg, version + 1);
+  EXPECT_TRUE(same_tables(*server.snapshot(), oracle));
+}
+
+TEST_F(ServiceTest, InvalidBatchesAreRejectedByCategory) {
+  std::vector<Weight> w(kN);
+  for (VertexId v = 0; v < kN; ++v) w[v] = static_cast<Weight>(v % 5) + 1;
+  {
+    SCOPED_TRACE("fresh server");
+    contract::ContractionForest c(kN, 4, 3);
+    contract::construct(c, f_);
+    BatchServer server(c, {}, w);
+    forest::Forest model = f_;
+    expect_rejections_then_apply(server, model, 3, w);
+  }
+
+  // The same contract on a server BatchServer::recover returns, which
+  // serves a structure loaded from a checkpoint plus the WAL tail.
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / "parct_service_rejections";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  forest::Forest model = f_;
+  {
+    durability::Manager mgr(dir.string());
+    contract::ContractionForest c(kN, 4, 3);
+    contract::construct(c, f_);
+    mgr.checkpoint(c, w, 0);
+    ServiceConfig cfg;
+    cfg.durability = &mgr;
+    BatchServer server(c, cfg, w);
+    UpdateRequest u;
+    u.batch = forest::make_delete_batch(model, 3, 91);
+    model = forest::apply_change_set(model, u.batch);
+    auto fut = server.submit_update(std::move(u));
+    ASSERT_TRUE(server.step());
+    ASSERT_EQ(fut.get().version, 1u);
+    if constexpr (contract::kStatsEnabled) {
+      EXPECT_GT(server.stats().wal_seconds, 0.0);
+    }
+  }  // crash: no final checkpoint
+  {
+    SCOPED_TRACE("recovered server");
+    RecoveredServer rec = BatchServer::recover(dir.string());
+    ASSERT_EQ(rec.version, 1u);
+    expect_rejections_then_apply(*rec.server, model, rec.forest->seed(), w);
+  }
+  fs::remove_all(dir);
 }
 
 TEST_F(ServiceTest, EngineThreadServesSubmittersEndToEnd) {

@@ -30,7 +30,7 @@ Rules (see docs/STATIC_ANALYSIS.md):
                   primitives so steady-state rounds stay allocation-free
                   (docs/PERFORMANCE.md).
   snapshot-bypass reads of the live structures (c_, rcf_, agg_, updater_,
-                  mirror_) inside the query-answering path of src/service/
+                  store_) inside the query-answering path of src/service/
                   (BatchServer::answer) — queries must only read the pinned
                   immutable Snapshot; a live read would race the update
                   thread that may be propagating the successor version
@@ -147,7 +147,7 @@ QUERY_PATH_FN = re.compile(r"\b(BatchServer::)?answer\s*\(")
 
 # Live (mutable, update-owned) members of the serving layer. `snap`/pinned
 # snapshot reads are the sanctioned alternative.
-LIVE_STRUCTURE = re.compile(r"\b(c_|rcf_|agg_|updater_|mirror_|store_)\s*\.")
+LIVE_STRUCTURE = re.compile(r"\b(c_|rcf_|agg_|updater_|store_)\s*\.")
 
 # fault-macro: the registry entry points and the build-flag conditional.
 # Only the PARCT_FAULT_POINT/PARCT_FAULT_STALL macros (and src/fault/
