@@ -1,9 +1,9 @@
-// Serving-layer benchmark: epochs of batched queries pipelined against
+// Serving-layer benchmark: epochs of batched queries interleaved with
 // dynamic updates through service::BatchServer. Sweeps the query:update
 // mix and the worker count, and reports per-epoch throughput/latency plus
-// the serving counters (overlapped epochs, backpressure, snapshot-buffer
-// recycling). One row per (mix, workers, overlap) configuration; JSONL
-// via PARCT_STATS_JSON (docs/OBSERVABILITY.md).
+// the serving counters (backpressure, snapshot-buffer recycling). One row
+// per (mix, workers) configuration; JSONL via PARCT_STATS_JSON
+// (docs/OBSERVABILITY.md).
 #include <chrono>
 #include <cstdio>
 #include <future>
@@ -38,11 +38,10 @@ struct EpochStream {
 };
 
 double run_config(contract::ContractionForest& c, const forest::Forest& f,
-                  const Mix& mix, unsigned workers, bool overlap,
-                  int epochs, bench::TableWriter& table) {
+                  const Mix& mix, unsigned workers, int epochs,
+                  bench::TableWriter& table) {
   par::scheduler::initialize(workers);
   service::ServiceConfig cfg;
-  cfg.overlap_updates = overlap;
   cfg.validate_updates = false;  // serving hygiene off: measure the engine
   service::BatchServer server(
       c, cfg, std::vector<service::Weight>(f.capacity(), 1));
@@ -97,11 +96,10 @@ double run_config(contract::ContractionForest& c, const forest::Forest& f,
                               : 0.0;
   const double ups =
       s.epochs ? static_cast<double>(s.updates_applied) / secs : 0.0;
-  table.row({mix.name, std::to_string(workers), overlap ? "1" : "0",
-             std::to_string(s.epochs), bench::fmt(qps), bench::fmt(ups),
+  table.row({mix.name, std::to_string(workers), std::to_string(s.epochs),
+             bench::fmt(qps), bench::fmt(ups),
              bench::fmt_s(s.epochs ? secs / static_cast<double>(s.epochs)
                                    : 0.0),
-             std::to_string(s.overlapped_epochs),
              std::to_string(s.backpressure_waits),
              std::to_string(s.snapshot_buffers_reused),
              std::to_string(s.snapshot_buffers_allocated)});
@@ -110,9 +108,7 @@ double run_config(contract::ContractionForest& c, const forest::Forest& f,
   dump.str("mix", mix.name)
       .num("n", n)
       .num("threads", workers)
-      .num("overlap", overlap ? 1 : 0)
       .num("epochs", s.epochs)
-      .num("overlapped_epochs", s.overlapped_epochs)
       .num("queries_served", s.queries_served)
       .num("updates_applied", s.updates_applied)
       .num("queries_per_s", qps)
@@ -161,10 +157,9 @@ int main() {
               "edges/update=%zu\n",
               n, epochs, kQueriesPerBatch, kEdgesPerUpdate);
   bench::TableWriter table(
-      "service epochs (query:update pipelining)",
-      {"mix", "p", "overlap", "epochs", "queries_per_s", "updates_per_s",
-       "epoch_s_mean", "overlapped", "backpressure", "buf_reused",
-       "buf_alloc"});
+      "service epochs (query:update interleaving)",
+      {"mix", "p", "epochs", "queries_per_s", "updates_per_s",
+       "epoch_s_mean", "backpressure", "buf_reused", "buf_alloc"});
 
   const Mix mixes[] = {
       {"query-only", 4, false},
@@ -172,12 +167,7 @@ int main() {
       {"update-heavy", 1, true},
   };
   for (const unsigned p : bench::thread_sweep()) {
-    for (const Mix& mix : mixes) {
-      run_config(c, f, mix, p, /*overlap=*/true, epochs, table);
-      if (mix.update_per_epoch) {
-        run_config(c, f, mix, p, /*overlap=*/false, epochs, table);
-      }
-    }
+    for (const Mix& mix : mixes) run_config(c, f, mix, p, epochs, table);
   }
   par::scheduler::initialize(1);
   return 0;

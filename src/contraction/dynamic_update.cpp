@@ -93,6 +93,9 @@ UpdateStats DynamicUpdater::apply(const forest::ChangeSet& m,
   par::adaptive_for(0, m.remove_vertices.size(), [&](std::size_t k) {
     const VertexId v = m.remove_vertices[k];
     claim_[v].store(e_vminus, std::memory_order_relaxed);
+    // Each k is written once, by the iteration that owns it; the claim_
+    // CAS protocol is what the detector audits in this phase.
+    // parct-lint: allow(shadow-write) reason: iteration-owned index
     xset_[k] = {v, 0};
   });
 

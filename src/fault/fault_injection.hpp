@@ -2,8 +2,9 @@
 //
 // A *site* is a named point in the code where a failure can be provoked:
 // an allocation failure in a Workspace acquire, an artificial stall in the
-// scheduler's steal sweep or at a SerialScope handoff, an abort at the
-// epoch-apply boundary of the BatchServer, or a drop at queue admission.
+// scheduler's steal sweep or at the SerialScope a degraded BatchServer
+// epoch opens, an abort at the epoch-apply boundary of the BatchServer, or
+// a drop at queue admission.
 // A *plan* assigns each site a schedule over its hit sequence — the k-th
 // time execution reaches the site is hit index k, and the schedule decides
 // whether that hit fires:
@@ -48,7 +49,8 @@ namespace parct::fault {
 enum class Site : unsigned {
   kWorkspaceAcquire = 0,  ///< Workspace::acquire — fires std::bad_alloc
   kSchedulerSteal,        ///< scheduler steal sweep — fires a bounded stall
-  kSerialHandoff,         ///< SerialScope open — fires a bounded stall
+  kSerialHandoff,         ///< SerialScope open (a degraded BatchServer
+                          ///< epoch) — fires a bounded stall
   kEpochApply,            ///< BatchServer epoch-apply boundary — fires an
                           ///< InjectedFault abort (pre-mutation)
   kQueueAdmission,        ///< BatchServer submit_* — fires an admission drop

@@ -50,10 +50,12 @@ std::optional<std::string> check_change_set(const Forest& f,
       }
     }
   }
+  const std::size_t id_limit = vplus_id_limit(f.capacity(), vplus.size());
   for (VertexId v : vplus) {
     // kNoVertex is the empty-slot sentinel, never an id; applying it
     // would grow the universe to 2^32.
     if (v == kNoVertex) return "V+ vertex is the kNoVertex sentinel";
+    if (v >= id_limit) return "V+ vertex id far beyond the capacity";
     if (v < f.capacity() && f.present(v)) return "V+ vertex already present";
   }
   // Edge children may lie beyond the universe (untrusted ids, or V+

@@ -6,9 +6,11 @@
 // (an edge of E- may reappear in E+: deletions apply first, so within one
 // batch delete-then-reinsert of the same edge is legal), and the edited
 // graph is again a bounded-degree forest. Every edge incident to a vertex
-// of V- must appear in E-.
+// of V- must appear in E-. V+ ids lie below vplus_id_limit.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -49,6 +51,16 @@ struct ChangeSet {
     return *this;
   }
 };
+
+/// Exclusive upper bound on the V+ ids of a batch adding `added` vertices
+/// to a universe of `capacity` ids: one batch may at most double the
+/// universe, plus its own new vertices, where a universe below 1024 ids
+/// counts as 1024. Applying a larger id would grow every per-vertex table
+/// up to it (2^31 asks for tens of GiB), so check_change_set and
+/// rc::validate_change_set both reject it.
+inline std::size_t vplus_id_limit(std::size_t capacity, std::size_t added) {
+  return 2 * std::max<std::size_t>(capacity, 1024) + added;
+}
 
 /// Checks all ChangeSet preconditions against `f`, including that applying
 /// the batch yields an acyclic bounded-degree forest. Returns an error

@@ -298,8 +298,8 @@ bool in_parallel_region() { return tl_in_task || tl_region_depth > 0; }
 bool serial_forced() { return tl_serial_depth > 0; }
 
 SerialScope::SerialScope() {
-  // Fault site: a delayed handoff to the pool-free serial path (e.g. the
-  // serving layer's overlapped update thread starting late).
+  // Fault site: a delayed handoff to the pool-free serial path (e.g. a
+  // degraded serving epoch entering its serial fallback late).
   PARCT_FAULT_STALL(fault::Site::kSerialHandoff);
   ++tl_serial_depth;
 }

@@ -112,11 +112,13 @@ bool serial_forced();
 /// RAII: forces all parallel constructs opened by the calling thread to run
 /// serially, without interacting with the work-stealing pool at all.
 ///
-/// This is what lets a *second* external thread run pool-free work (e.g.
-/// the serving layer's update thread executing DynamicUpdater::apply while
-/// worker 0 fans out queries): the scheduler maps every non-pool thread
-/// onto worker 0's deque, so two external threads forking concurrently
-/// would race on that deque — under a SerialScope the thread never forks.
+/// The serving layer opens one per degraded epoch
+/// (BatchServer::set_pool_healthy(false)): the epoch's update and queries
+/// then run on the engine thread while the pool is stalled or being
+/// debugged. It is also what lets a *second* external thread run
+/// pool-free work: the scheduler maps every non-pool thread onto worker
+/// 0's deque, so two external threads forking concurrently would race on
+/// that deque — under a SerialScope the thread never forks.
 /// Nestable; an active SP-bags detection session takes precedence (the
 /// detector needs the logical fork tree, which it executes serially
 /// anyway).

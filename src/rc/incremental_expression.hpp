@@ -76,7 +76,10 @@ class IncrementalExpression final : public contract::EventHooks {
     }
     for (std::uint32_t i = 1; i < max_d; ++i) {
       // Within a round, vertices only read round-(i-1) values and write
-      // their own round-i slot: parallel-safe.
+      // their own round-i slot: parallel-safe. The rebuild runs once per
+      // construction, and keying every slot would multiply detector
+      // traffic on the O(n log n) table for a disjointness the indices
+      // show.
       par::parallel_for(0, alive_at[i].size(), [&](std::size_t k) {
         const VertexId v = alive_at[i][k];
         recompute_acc(i - 1, v);
@@ -84,8 +87,10 @@ class IncrementalExpression final : public contract::EventHooks {
         if (p_now == v) return;
         const VertexId p_before = c_.record(i - 1, v).parent;
         if (p_before == p_now) {
+          // parct-lint: allow(shadow-write) reason: vertex-own round-i slot
           lin_[v][i] = at_lin(v, i - 1);
         } else {
+          // parct-lint: allow(shadow-write) reason: vertex-own round-i slot
           lin_[v][i] = composed(p_before, v, i - 1);
         }
       });

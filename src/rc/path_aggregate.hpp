@@ -103,16 +103,21 @@ class PathAggregate final : public contract::EventHooks {
     }
     for (std::uint32_t i = 1; i < max_d; ++i) {
       // Within a round, vertices only read round-(i-1) values and write
-      // their own round-i slot: parallel-safe.
+      // their own round-i slot: parallel-safe. The rebuild runs once per
+      // construction, and keying every slot would multiply detector
+      // traffic on the O(n log n) table for a disjointness the indices
+      // show.
       par::parallel_for(0, alive_at[i].size(), [&](std::size_t k) {
         const VertexId v = alive_at[i][k];
         const VertexId p_now = c_.record(i, v).parent;
         if (p_now == v) return;  // root: no edge value
         const VertexId p_before = c_.record(i - 1, v).parent;
         if (p_before == p_now) {
+          // parct-lint: allow(shadow-write) reason: vertex-own round-i slot
           vals_[v][i] = vals_[v][i - 1];
         } else {
           // p_before compressed between v and p_now in round i-1.
+          // parct-lint: allow(shadow-write) reason: vertex-own round-i slot
           vals_[v][i] =
               combine_(vals_[v][i - 1], vals_[p_before][i - 1]);
         }

@@ -50,12 +50,13 @@ void RCForest::rebuild() {
   });
 }
 
-// refresh() is deliberately NOT shadow-annotated (see
-// tools/shadow_coverage_allowlist.txt): touched-vertex lists may repeat a
-// vertex across rounds of one update, so two iterations can write the
-// same events_[v] cell. The writes are idempotent (derive is a pure
+// refresh() is deliberately NOT shadow-annotated: touched-vertex lists may
+// repeat a vertex across rounds of one update, so two iterations can write
+// the same events_[v] cell. The writes are idempotent (derive is a pure
 // function of the current records), but the SP-bags detector has no
-// idempotence notion and would report the duplicate as a race.
+// idempotence notion and would report the duplicate as a race. The write
+// sits inside derive(), which the shadow-write lint's line scan does not
+// follow, so this comment is its record.
 
 void RCForest::refresh(const std::vector<VertexId>& vertices) {
   if (c_.capacity() > events_.size()) {

@@ -110,7 +110,10 @@ class SubtreeAggregate final : public contract::EventHooks {
     }
     for (std::uint32_t i = 1; i < max_d; ++i) {
       // Within a round, vertices only read round-(i-1) values and write
-      // their own round-i slot: parallel-safe.
+      // their own round-i slot: parallel-safe. The rebuild runs once per
+      // construction, and keying every slot would multiply detector
+      // traffic on the O(n log n) table for a disjointness the indices
+      // show.
       par::parallel_for(0, alive_at[i].size(), [&](std::size_t k) {
         const VertexId v = alive_at[i][k];
         // S: fold children that raked in round i-1.
@@ -123,14 +126,17 @@ class SubtreeAggregate final : public contract::EventHooks {
                                          carry_[ch][i - 1]));
           }
         }
+        // parct-lint: allow(shadow-write) reason: vertex-own round-i slot
         s_[v][i] = acc;
         // C: copy, or fold a compressed parent in.
         const VertexId p_now = c_.record(i, v).parent;
         if (p_now == v) return;
         const VertexId p_before = c_.record(i - 1, v).parent;
         if (p_before == p_now) {
+          // parct-lint: allow(shadow-write) reason: vertex-own round-i slot
           carry_[v][i] = carry_[v][i - 1];
         } else {
+          // parct-lint: allow(shadow-write) reason: vertex-own round-i slot
           carry_[v][i] =
               combine_(carry_[v][i - 1],
                        combine_(s_[p_before][i - 1],

@@ -56,10 +56,13 @@ ChangeSetVerdict validate_change_set(const RCForest& rcf,
                               Edge{child, parent}, edge_less);
   };
 
-  // V+ ids must be fresh. kNoVertex is the empty-slot sentinel, never an
-  // id: admitting it would grow the universe to 2^32.
+  // V+ ids must be fresh and below forest::vplus_id_limit. kNoVertex is
+  // the empty-slot sentinel, never an id: admitting it would grow the
+  // universe to 2^32.
+  const std::size_t id_limit = forest::vplus_id_limit(cap, vplus.size());
   for (VertexId v : vplus) {
     if (v == kNoVertex) return invalid("V+ vertex is the kNoVertex sentinel");
+    if (v >= id_limit) return invalid("V+ vertex id far beyond the capacity");
     if (present(v)) return invalid("V+ vertex already present");
   }
   // A V- vertex is present (so not in V+) and E- cuts all its edges.

@@ -232,11 +232,8 @@ void BatchServer::stop() {
 }
 
 void BatchServer::take_epoch(std::vector<PendingQuery>& queries,
-                             std::optional<PendingUpdate>& update,
-                             std::size_t& qdepth, std::size_t& udepth) {
-  qdepth = query_queue_.size();
-  udepth = update_queue_.size();
-  queries.reserve(qdepth);
+                             std::optional<PendingUpdate>& update) {
+  queries.reserve(query_queue_.size());
   while (!query_queue_.empty()) {
     queries.push_back(std::move(query_queue_.front()));
     query_queue_.pop_front();
@@ -251,41 +248,36 @@ void BatchServer::engine_loop() {
   for (;;) {
     std::vector<PendingQuery> queries;
     std::optional<PendingUpdate> update;
-    std::size_t qdepth = 0;
-    std::size_t udepth = 0;
     {
       MutexLock lk(mu_);
       while (!stopping_ && !work_pending()) cv_work_.wait(lk);
       // stop() drains: keep processing admitted work, exit once empty.
       if (!work_pending()) break;
-      take_epoch(queries, update, qdepth, udepth);
+      take_epoch(queries, update);
     }
     cv_space_.notify_all();
-    process_epoch(std::move(queries), std::move(update), qdepth, udepth,
-                  cfg_.overlap_updates);
+    process_epoch(std::move(queries), std::move(update));
   }
 }
 
 bool BatchServer::step() {
   std::vector<PendingQuery> queries;
   std::optional<PendingUpdate> update;
-  std::size_t qdepth = 0;
-  std::size_t udepth = 0;
   {
     MutexLock lk(mu_);
     if (!work_pending()) return false;
-    take_epoch(queries, update, qdepth, udepth);
+    take_epoch(queries, update);
   }
   cv_space_.notify_all();
-  return process_epoch(std::move(queries), std::move(update), qdepth, udepth,
-                       /*allow_overlap=*/false);
+  return process_epoch(std::move(queries), std::move(update));
 }
 
 QueryResult BatchServer::answer(const QueryBatch& q,
                                 const Snapshot& snap) const {
   // Queries read only the pinned snapshot — never the live
-  // ContractionForest/RCForest, which the overlapped apply() may be
-  // mutating (tools/lint_parallel.py enforces this for service sources).
+  // ContractionForest/RCForest, which the epoch's update has already
+  // moved past the pinned version (tools/lint_parallel.py enforces this
+  // for service sources).
   QueryResult r;
   r.version = snap.version;
   // Each fan-out writes result cell i exactly once; the per-call nonces
@@ -313,26 +305,28 @@ QueryResult BatchServer::answer(const QueryBatch& q,
   return r;
 }
 
+// One epoch, the same path for the engine, step() and degraded epochs.
+// Every step that rejects the update resets `update`, so after step 7 a
+// non-empty `update` is one this epoch published.
 bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
-                                std::optional<PendingUpdate> update,
-                                std::size_t qdepth, std::size_t udepth,
-                                bool allow_overlap) {
+                                std::optional<PendingUpdate> update) {
   if (queries.empty() && !update) return false;
   const auto t_epoch = contract::stats_now();
 
   // Degraded serial fallback: while the pool is marked unhealthy the whole
-  // epoch runs under a SerialScope on this thread — queries answer
-  // sequentially, the update runs inline, and the work-stealing pool is
-  // never touched.
+  // epoch runs under a SerialScope on this thread — the update and the
+  // queries run inline, and the work-stealing pool is never touched.
   const bool degraded = !pool_healthy_.load(std::memory_order_relaxed);
   std::optional<par::scheduler::SerialScope> serial;
   if (degraded) serial.emplace();
 
+  // 1. Pin version v. The queries are answered against it in step 8,
+  //    after this epoch's update has published v+1.
   const SnapshotHandle pinned = store_.acquire();
   const auto now = std::chrono::steady_clock::now();
 
-  // Overload shedding: reject the oldest (stalest) query batches beyond
-  // the high-water mark before doing any work for them.
+  // 2. Overload shedding: reject the oldest (stalest) query batches beyond
+  //    the high-water mark before doing any work for them.
   std::uint64_t shed_items = 0;
   if (cfg_.query_shed_high_water != 0 &&
       queries.size() > cfg_.query_shed_high_water) {
@@ -371,8 +365,8 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
     update.reset();
   }
 
-  // Admission control for the update: reject invalid batches (and any
-  // batch after a failed apply) before touching the structure.
+  // 3. Admission control for the update: reject invalid batches (and any
+  //    batch after a failed apply) before touching the structure.
   std::uint64_t rejected = 0;
   if (update && failed_) {
     update->promise.set_exception(std::make_exception_ptr(std::runtime_error(
@@ -399,16 +393,14 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
       ++rejected;
     }
   }
-  const std::uint64_t update_ops =
-      update ? update->request.batch.size() : 0;
 
+  // 4. Apply. An abort at the boundary is retried with backoff; any other
+  //    failure may have left the structure half-edited, so updates halt.
   contract::UpdateStats ustats;
-  touched_.clear();
-  std::exception_ptr update_error;
-  bool abort_exhausted = false;  // injected abort survived all retries
   std::uint64_t retries = 0;
   double update_secs = 0;
-  auto run_update = [&] {
+  if (update) {
+    touched_.clear();
     const auto t0 = contract::stats_now();
     for (unsigned attempt = 0;; ++attempt) {
       try {
@@ -420,155 +412,124 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
           throw fault::InjectedFault(fault::Site::kEpochApply);
         }
         ustats = updater_.apply(update->request.batch, &touched_);
-        update_error = nullptr;
         break;
       } catch (const fault::InjectedFault&) {
-        update_error = std::current_exception();
         if (attempt >= cfg_.max_epoch_retries) {
-          abort_exhausted = true;
+          // Clean rejection: every attempt aborted at the boundary, the
+          // structure is untouched, and the server stays healthy for
+          // subsequent updates.
+          update->promise.set_exception(std::make_exception_ptr(EpochAborted(
+              "BatchServer: update epoch aborted at the apply boundary "
+              "after " +
+              std::to_string(cfg_.max_epoch_retries) + " retr" +
+              (cfg_.max_epoch_retries == 1 ? "y" : "ies"))));
+          update.reset();
           break;
         }
         ++retries;
         std::this_thread::sleep_for(cfg_.retry_backoff *
                                     (1u << std::min(attempt, 10u)));
       } catch (...) {
-        update_error = std::current_exception();
+        failed_ = true;
+        update->promise.set_exception(std::current_exception());
+        update.reset();
         break;
       }
     }
     update_secs = contract::stats_since(t0);
-  };
+  }
 
-  std::uint64_t queries_answered = 0;
-  auto answer_all = [&] {
-    for (PendingQuery& pq : queries) {
-      try {
-        QueryResult qr = answer(pq.batch, *pinned);
-        queries_answered += pq.batch.size();
-        pq.promise.set_value(std::move(qr));
-      } catch (...) {
-        // A failed fan-out (e.g. an injected allocation failure surfacing
-        // through a parallel task) rejects this batch only; the epoch and
-        // the remaining batches proceed.
-        pq.promise.set_exception(std::current_exception());
+  // 5. Write-ahead: the applied batch must be durable before the version
+  //    publishes and the submitter's future resolves. Logging *after* a
+  //    successful apply keeps the WAL equal to the exactly-applied history
+  //    (an EpochAborted batch never reaches the log); logging *before*
+  //    publish keeps every acknowledged update durable.
+  double wal_secs = 0;
+  if (update && cfg_.durability) {
+    const auto t_w = contract::stats_now();
+    try {
+      cfg_.durability->append(version_ + 1, update->request.batch,
+                              update->request.vertex_weights);
+      wal_secs = contract::stats_since(t_w);
+    } catch (...) {
+      // The in-memory structure now leads the durable state (the segment
+      // tail may even be torn). Fail-stop for updates: this future rejects
+      // (the update was NOT acknowledged), the version is not published,
+      // and later updates are refused — while queries keep serving the
+      // last published (fully durable) snapshot. Recovery from disk
+      // restores exactly the acknowledged history.
+      failed_ = true;
+      update->promise.set_exception(std::make_exception_ptr(
+          DurabilityLost("BatchServer: WAL append failed; the update was "
+                         "applied in memory but is not durable")));
+      update.reset();
+    }
+  }
+
+  double publish_secs = 0;
+  if (update) {
+    const auto t_p = contract::stats_now();
+    // 6. Repair the derived layers over the affected region: the touched
+    //    set is the event-fired vertices plus the batch's V- (which fires
+    //    no event). prepare_update must see the pre-refresh events (old
+    //    representatives), so it runs before refresh.
+    std::vector<VertexId>& tv = touched_.vertices();
+    tv.insert(tv.end(), update->request.batch.remove_vertices.begin(),
+              update->request.batch.remove_vertices.end());
+    agg_.prepare_update(tv);
+    rcf_.refresh(tv);
+    agg_.apply_update();
+    // The ids this version changes, for the snapshot patch: the repair
+    // region (which holds every refreshed event and every rewritten
+    // accumulator) plus each reweighted vertex's representative chain.
+    const std::vector<VertexId>& region = agg_.last_region();
+    changed_.assign(region.begin(), region.end());
+    for (const auto& [v, w] : update->request.vertex_weights) {
+      if (v < rcf_.size() && rcf_.present(v)) {
+        agg_.set_weight(v, w);
+        for (VertexId u = v; u != kNoVertex; u = rcf_.representative(u)) {
+          changed_.push_back(u);
+        }
       }
     }
-  };
+    // 7. Publish v+1, then resolve the future: a waiter that then calls
+    //    snapshot() observes its own write — including after a retried
+    //    epoch (read-your-writes holds across retries).
+    ++version_;
+    store_.publish_changes(rcf_, &agg_, version_, changed_);
+    publish_secs = contract::stats_since(t_p);
+    update->promise.set_value(UpdateResult{version_, ustats});
+  }
 
+  // 8. Answer the queries against the snapshot pinned in step 1.
   const auto t_q = contract::stats_now();
-  bool overlapped = false;
-  if (update && allow_overlap && !degraded && !queries.empty()) {
-    overlapped = true;
-    // The pipelining overlap itself: the update propagates toward version
-    // v+1 under a SerialScope (off the pool) while this thread fans the
-    // epoch's queries out on the pool against the pinned version-v snapshot.
-    // parct-lint: allow(raw-thread) reason: epoch overlap thread
-    std::thread ut([&] {
-      par::scheduler::SerialScope serial_update;
-      run_update();
-    });
-    answer_all();
-    ut.join();
-  } else {
-    answer_all();
-    if (update) run_update();  // full pool available, no overlap thread
+  std::uint64_t queries_answered = 0;
+  for (PendingQuery& pq : queries) {
+    try {
+      QueryResult qr = answer(pq.batch, *pinned);
+      queries_answered += pq.batch.size();
+      pq.promise.set_value(std::move(qr));
+    } catch (...) {
+      // A failed fan-out (e.g. an injected allocation failure surfacing
+      // through a parallel task) rejects this batch only; the epoch and
+      // the remaining batches proceed.
+      pq.promise.set_exception(std::current_exception());
+    }
   }
   const double query_secs = contract::stats_since(t_q);
 
-  double wal_secs = 0;
-  double publish_secs = 0;
-  bool applied = false;
+  // 9. Background checkpointing: roll the WAL up into a fresh checkpoint
+  //    every checkpoint_every updates. Failure here is degradation, not an
+  //    error: the rename is the commit point, so the previous checkpoint
+  //    (plus the still-growing WAL) remains a complete recovery image, and
+  //    the next interval retries.
   std::uint64_t checkpoint_failed = 0;
-  if (update) {
-    if (update_error) {
-      if (abort_exhausted) {
-        // Clean rejection: every attempt aborted at the boundary, the
-        // structure is untouched, and the server stays healthy for
-        // subsequent updates.
-        update->promise.set_exception(std::make_exception_ptr(EpochAborted(
-            "BatchServer: update epoch aborted at the apply boundary "
-            "after " +
-            std::to_string(cfg_.max_epoch_retries) + " retr" +
-            (cfg_.max_epoch_retries == 1 ? "y" : "ies"))));
-      } else {
-        failed_ = true;
-        update->promise.set_exception(update_error);
-      }
-    } else {
-      // Write-ahead: the applied batch must be durable before the version
-      // publishes and the submitter's future resolves. Logging *after* a
-      // successful apply keeps the WAL equal to the exactly-applied
-      // history (an EpochAborted batch never reaches the log); logging
-      // *before* publish keeps every acknowledged update durable.
-      bool durable = true;
-      if (cfg_.durability) {
-        const auto t_w = contract::stats_now();
-        try {
-          cfg_.durability->append(version_ + 1, update->request.batch,
-                                  update->request.vertex_weights);
-          wal_secs = contract::stats_since(t_w);
-        } catch (...) {
-          // The in-memory structure now leads the durable state (the
-          // segment tail may even be torn). Fail-stop for updates: this
-          // future rejects (the update was NOT acknowledged), the version
-          // is not published, and later updates are refused — while
-          // queries keep serving the last published (fully durable)
-          // snapshot. Recovery from disk restores exactly the
-          // acknowledged history.
-          durable = false;
-          failed_ = true;
-          update->promise.set_exception(std::make_exception_ptr(
-              DurabilityLost("BatchServer: WAL append failed; the update "
-                             "was applied in memory but is not durable")));
-        }
-      }
-      if (durable) {
-        const auto t_p = contract::stats_now();
-        // Repair the derived layers over the affected region: the touched
-        // set is the event-fired vertices plus the batch's V- (which fires
-        // no event). prepare_update must see the pre-refresh events (old
-        // representatives), so it runs before refresh.
-        std::vector<VertexId>& tv = touched_.vertices();
-        tv.insert(tv.end(), update->request.batch.remove_vertices.begin(),
-                  update->request.batch.remove_vertices.end());
-        agg_.prepare_update(tv);
-        rcf_.refresh(tv);
-        agg_.apply_update();
-        // The ids this version changes, for the snapshot patch: the repair
-        // region (which holds every refreshed event and every rewritten
-        // accumulator) plus each reweighted vertex's representative chain.
-        const std::vector<VertexId>& region = agg_.last_region();
-        changed_.assign(region.begin(), region.end());
-        for (const auto& [v, w] : update->request.vertex_weights) {
-          if (v < rcf_.size() && rcf_.present(v)) {
-            agg_.set_weight(v, w);
-            for (VertexId u = v; u != kNoVertex; u = rcf_.representative(u)) {
-              changed_.push_back(u);
-            }
-          }
-        }
-        ++version_;
-        store_.publish_changes(rcf_, &agg_, version_, changed_);
-        publish_secs = contract::stats_since(t_p);
-        // Fulfilled only after publication: a waiter that then calls
-        // snapshot() observes its own write — including after a retried
-        // epoch (read-your-writes holds across retries).
-        update->promise.set_value(UpdateResult{version_, ustats});
-        applied = true;
-        // Background checkpointing: roll the WAL up into a fresh
-        // checkpoint every checkpoint_every updates. Failure here is
-        // degradation, not an error: the rename is the commit point, so
-        // the previous checkpoint (plus the still-growing WAL) remains a
-        // complete recovery image, and the next interval retries.
-        if (cfg_.durability && cfg_.checkpoint_every != 0 &&
-            version_ % cfg_.checkpoint_every == 0) {
-          try {
-            cfg_.durability->checkpoint(c_, agg_.weights(), version_);
-          } catch (...) {
-            ++checkpoint_failed;
-          }
-        }
-      }
+  if (update && cfg_.durability && cfg_.checkpoint_every != 0 &&
+      version_ % cfg_.checkpoint_every == 0) {
+    try {
+      cfg_.durability->checkpoint(c_, agg_.weights(), version_);
+    } catch (...) {
+      ++checkpoint_failed;
     }
   }
   const double epoch_secs = contract::stats_since(t_epoch);
@@ -576,7 +537,6 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
   {
     MutexLock slk(stats_mu_);
     ++stats_.epochs;
-    if (overlapped) ++stats_.overlapped_epochs;
     if (degraded) ++stats_.degraded_epochs;
     stats_.query_batches += queries.size();
     stats_.queries_served += queries_answered;
@@ -586,9 +546,9 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
     stats_.epoch_retries += retries;
     stats_.checkpoint_failures += checkpoint_failed;
     stats_.validate_fallbacks += validate_fallbacks;
-    if (applied) {
+    if (update) {
       ++stats_.updates_applied;
-      stats_.update_ops += update_ops;
+      stats_.update_ops += update->request.batch.size();
     }
     stats_.epoch_seconds += epoch_secs;
     stats_.query_seconds += query_secs;
@@ -596,25 +556,6 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
     stats_.publish_seconds += publish_secs;
     stats_.validate_seconds += validate_secs;
     stats_.wal_seconds += wal_secs;
-    if constexpr (contract::kStatsEnabled) {
-      if (stats_.epoch_log.size() < cfg_.max_epoch_log) {
-        EpochRecord rec;
-        rec.version = pinned.version();
-        rec.query_batches = static_cast<std::uint32_t>(queries.size());
-        rec.queries = static_cast<std::uint32_t>(queries_answered);
-        rec.update_ops = static_cast<std::uint32_t>(update_ops);
-        rec.query_queue_depth = static_cast<std::uint32_t>(qdepth);
-        rec.update_queue_depth = static_cast<std::uint32_t>(udepth);
-        rec.overlapped = overlapped;
-        rec.epoch_seconds = epoch_secs;
-        rec.query_seconds = query_secs;
-        rec.update_seconds = update_secs;
-        rec.publish_seconds = publish_secs;
-        stats_.epoch_log.push_back(rec);
-      } else {
-        ++stats_.dropped_epoch_records;
-      }
-    }
   }
   return true;
 }

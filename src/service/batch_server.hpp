@@ -3,19 +3,20 @@
 // into a query/update pipeline.
 //
 // Requests are admitted into bounded queues (submitters block when full:
-// backpressure, not unbounded memory). The epoch engine repeatedly:
+// backpressure, not unbounded memory). The epoch engine repeatedly
+// coalesces every pending query batch plus at most one update batch into
+// an epoch, and runs every epoch the same way, one phase after the other
+// on the work-stealing pool:
 //
-//   1. coalesces every pending query batch plus at most one update batch
-//      into an epoch,
-//   2. pins the current Snapshot (version v) and fans the queries out with
-//      parallel_for on the work-stealing pool against that immutable view,
-//      while — overlapped on a second thread under a
-//      scheduler::SerialScope — DynamicUpdater::apply propagates the
-//      update batch toward version v+1 on the live structure,
-//   3. repairs the derived layers incrementally (RCForest::refresh +
+//   1. pins the current Snapshot (version v),
+//   2. validates the update batch, propagates it with
+//      DynamicUpdater::apply, appends it to the WAL, repairs the derived
+//      layers incrementally (RCForest::refresh +
 //      TreeAggregate::prepare_update/apply_update over the touched set),
-//      builds version v+1 into a recycled snapshot buffer, and publishes
-//      it for the next epoch's queries.
+//      builds version v+1 into a recycled snapshot buffer, publishes it,
+//      and resolves the update's future,
+//   3. fans the epoch's queries out with parallel_for against the snapshot
+//      pinned in step 1 — so a query coalesced with an update reports v.
 //
 // Readers never observe a half-propagated round: they only ever see
 // published snapshots, and a snapshot is only published after apply() and
@@ -28,8 +29,7 @@
 // non-pool threads onto worker 0's deque, so a second forking thread
 // would race on it). Do not run parct parallel operations from other
 // threads, and do not re-initialize the scheduler, between start() and
-// stop(). The update thread is exempt by design: it runs under a
-// SerialScope and never touches the pool.
+// stop().
 #pragma once
 
 #include <atomic>
@@ -111,13 +111,6 @@ struct ServiceConfig {
   std::size_t max_pending_updates = 16;
   std::size_t max_pending_query_batches = 256;
 
-  /// Overlap apply() (on a SerialScope thread) with the epoch's query
-  /// fan-out. Off: the epoch runs queries first, then the update with the
-  /// full pool — same observable results (queries are answered against
-  /// the pinned snapshot either way), no extra thread. step() always
-  /// behaves as if this were off.
-  bool overlap_updates = true;
-
   /// Check every batch's preconditions (forest/change_set.hpp) against the
   /// live structure before applying, with rc::validate_change_set;
   /// invalid batches reject their future with std::invalid_argument
@@ -125,9 +118,6 @@ struct ServiceConfig {
   /// batch of m; O(n) only on the exact path, for a batch that re-links
   /// inside one pre-edit tree (counted in ServiceStats::validate_fallbacks).
   bool validate_updates = true;
-
-  /// Cap on the per-epoch telemetry log (PARCT_STATS builds).
-  std::size_t max_epoch_log = 4096;
 
   /// Re-attempts of an update epoch whose apply aborted at the boundary
   /// (fault::InjectedFault — raised before any mutation, so re-applying
@@ -194,23 +184,11 @@ struct UpdateResult {
   contract::UpdateStats stats;
 };
 
-/// Per-epoch telemetry record (populated in PARCT_STATS builds).
-struct EpochRecord {
-  std::uint64_t version = 0;       // version queries were answered at
-  std::uint32_t query_batches = 0;
-  std::uint32_t queries = 0;
-  std::uint32_t update_ops = 0;
-  std::uint32_t query_queue_depth = 0;   // at epoch admission
-  std::uint32_t update_queue_depth = 0;
-  bool overlapped = false;
-  double epoch_seconds = 0;
-  double query_seconds = 0;
-  double update_seconds = 0;
-  double publish_seconds = 0;
-};
-
 struct ServiceStats {
   std::uint64_t epochs = 0;
+  /// Always 0: every epoch applies its update and then answers its
+  /// queries on one thread. Kept because the serving benchmark in
+  /// perfbench/ reads it.
   std::uint64_t overlapped_epochs = 0;
   std::uint64_t query_batches = 0;
   std::uint64_t queries_served = 0;  // individual query items
@@ -226,7 +204,6 @@ struct ServiceStats {
   std::uint64_t backpressure_waits = 0;
   std::uint64_t max_query_queue_depth = 0;
   std::uint64_t max_update_queue_depth = 0;
-  std::uint64_t dropped_epoch_records = 0;
 
   // Graceful-degradation counters (docs/OBSERVABILITY.md §3a).
   std::uint64_t queries_shed = 0;        ///< query items shed under overload
@@ -252,8 +229,6 @@ struct ServiceStats {
   double publish_seconds = 0;
   double validate_seconds = 0;  ///< update-batch validation
   double wal_seconds = 0;       ///< WAL append, fsync included
-
-  std::vector<EpochRecord> epoch_log;  // PARCT_STATS builds only
 };
 
 struct RecoveredServer;
@@ -323,19 +298,19 @@ class BatchServer {
   void stop() PARCT_EXCLUDES(mu_);
 
   /// Processes one epoch inline on the calling thread (all pending query
-  /// batches + at most one update), without the engine thread and without
-  /// overlap — deterministic, single-threaded epoch semantics for tests
-  /// (including SP-bags race-detector sessions). Returns false if there
-  /// was nothing to do. Never mix with a start()ed engine.
+  /// batches + at most one update) through the same path the engine runs,
+  /// without the engine thread — deterministic, single-threaded epoch
+  /// semantics for tests (including SP-bags race-detector sessions).
+  /// Returns false if there was nothing to do. Never mix with a start()ed
+  /// engine.
   bool step() PARCT_EXCLUDES(mu_, stats_mu_);
 
   /// Degraded serial-fallback mode (any thread). Marking the pool
   /// unhealthy makes every subsequent epoch run under a
-  /// scheduler::SerialScope on the engine thread: queries answer
-  /// sequentially, updates never overlap, and the work-stealing pool is
-  /// not touched at all — correct (slower) service while the pool is
-  /// stalled, wedged, or being debugged. Counted in
-  /// ServiceStats::degraded_epochs.
+  /// scheduler::SerialScope on the engine thread: the update and the
+  /// queries run sequentially, and the work-stealing pool is not touched
+  /// at all — correct (slower) service while the pool is stalled, wedged,
+  /// or being debugged. Counted in ServiceStats::degraded_epochs.
   void set_pool_healthy(bool healthy) {
     pool_healthy_.store(healthy, std::memory_order_relaxed);
   }
@@ -384,11 +359,9 @@ class BatchServer {
   }
 
   /// Drains every pending query batch plus at most one update into an
-  /// epoch (shared by engine_loop and step; both record the pre-drain
-  /// queue depths for telemetry).
+  /// epoch (shared by engine_loop and step).
   void take_epoch(std::vector<PendingQuery>& queries,
-                  std::optional<PendingUpdate>& update, std::size_t& qdepth,
-                  std::size_t& udepth) PARCT_REQUIRES(mu_);
+                  std::optional<PendingUpdate>& update) PARCT_REQUIRES(mu_);
 
   // Admission-path stats bumps. stats_mu_ nests inside mu_ here (the
   // documented mu_ -> stats_mu_ order); keeping the inner acquisition in
@@ -402,9 +375,8 @@ class BatchServer {
 
   void engine_loop() PARCT_EXCLUDES(mu_, stats_mu_);
   bool process_epoch(std::vector<PendingQuery> queries,
-                     std::optional<PendingUpdate> update,
-                     std::size_t query_depth, std::size_t update_depth,
-                     bool allow_overlap) PARCT_EXCLUDES(mu_, stats_mu_);
+                     std::optional<PendingUpdate> update)
+      PARCT_EXCLUDES(mu_, stats_mu_);
   QueryResult answer(const QueryBatch& q, const Snapshot& snap) const;
 
   contract::ContractionForest& c_;

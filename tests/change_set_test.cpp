@@ -166,6 +166,32 @@ TEST(ChangeSet, RejectsNoVertexSentinelAsId) {
   EXPECT_TRUE(check_change_set(f, link).has_value());
 }
 
+TEST(ChangeSet, RejectsVPlusIdFarBeyondTheCapacity) {
+  // Regression: V+ = {2^31} used to pass, and applying it grows every
+  // per-vertex table to 2^31 entries. One batch may now at most double
+  // the universe (of at least 1024 ids), plus its own new vertices.
+  Forest f = small_tree();  // capacity 8, counted as 1024
+  const auto far = static_cast<VertexId>(1u << 31);
+  ChangeSet add;
+  add.ins_vertex(far).ins_edge(far, 0);
+  auto err = check_change_set(f, add);
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("far beyond"), std::string::npos) << *err;
+
+  const auto limit = static_cast<VertexId>(vplus_id_limit(f.capacity(), 1));
+  EXPECT_EQ(limit, 2u * 1024u + 1u);
+  ChangeSet at_limit;
+  at_limit.ins_vertex(limit).ins_edge(limit, 0);
+  EXPECT_TRUE(check_change_set(f, at_limit).has_value());
+  ChangeSet below;
+  below.ins_vertex(limit - 1).ins_edge(limit - 1, 0);
+  EXPECT_FALSE(check_change_set(f, below).has_value());
+  // Each new vertex raises the limit by one.
+  ChangeSet two;
+  two.ins_vertex(limit).ins_vertex(5).ins_edge(limit, 5);
+  EXPECT_FALSE(check_change_set(f, two).has_value());
+}
+
 TEST(ChangeSet, SizeAccounting) {
   ChangeSet m;
   m.ins_vertex(1).del_vertex(2).ins_edge(3, 4).del_edge(5, 6);

@@ -92,7 +92,9 @@ Disposition classify(const std::exception_ptr& err) {
 // with `plan` armed, then checks every future against the
 // oracle-reconstructed version chain. `stepped` uses the deterministic
 // step() driver (one epoch per round — the replay mode); otherwise a live
-// engine thread coalesces epochs on its own.
+// engine thread coalesces epochs on its own. Every fourth round runs with
+// the pool marked unhealthy: its epoch is degraded and opens the
+// SerialScope that holds the serial-handoff site.
 RunOutcome run_chaos(const fault::Plan& plan, bool stepped) {
   SCOPED_TRACE("replay: PARCT_CHAOS_SPEC='" + fault::format_plan(plan) +
                "'");
@@ -116,6 +118,8 @@ RunOutcome run_chaos(const fault::Plan& plan, bool stepped) {
   std::vector<std::pair<QueryBatch, std::future<QueryResult>>> qfuts;
   std::vector<std::pair<forest::ChangeSet, std::future<UpdateResult>>> ufuts;
   for (int i = 0; i < kRounds; ++i) {
+    const bool degraded = i % 4 == 3;
+    server.set_pool_healthy(!degraded);
     QueryBatch q;
     for (int j = 0; j < 24; ++j) {
       q.roots.push_back(static_cast<VertexId>(rng.next_below(kN)));
@@ -134,7 +138,13 @@ RunOutcome run_chaos(const fault::Plan& plan, bool stepped) {
       auto ufut = server.submit_update(std::move(u));
       ufuts.emplace_back(std::move(batch), std::move(ufut));
     }
-    if (stepped) server.step();
+    if (stepped) {
+      server.step();
+    } else if (degraded) {
+      // Hold the flag until the epoch serving this round's queries has
+      // run, so the live engine reaches a degraded epoch too.
+      qfuts.back().second.wait();
+    }
   }
   if (stepped) {
     while (server.step()) {
@@ -144,6 +154,11 @@ RunOutcome run_chaos(const fault::Plan& plan, bool stepped) {
   // Every run submits through the admission site, so the hit counters must
   // have ticked — catches a build where the macros silently compiled away.
   EXPECT_GT(fault::hits(fault::Site::kQueueAdmission), 0u);
+  // Only degraded epochs reach serial-handoff; an armed site that is never
+  // hit would test nothing.
+  if (plan[fault::Site::kSerialHandoff].mode != fault::Mode::kOff) {
+    EXPECT_GT(fault::hits(fault::Site::kSerialHandoff), 0u);
+  }
   fault::disarm();
 
   // Reconstruct the version chain from the updates that actually applied:

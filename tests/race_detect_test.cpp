@@ -325,9 +325,7 @@ TEST_F(RaceDetectTest, SteppedServiceEpochsAreRaceFree) {
   forest::Forest f = forest::build_tree(300, 4, 0.5, 17, 0);
   contract::ContractionForest c(f.capacity(), 4, 55);
   contract::construct(c, f);
-  service::ServiceConfig cfg;
-  cfg.overlap_updates = false;  // step() never overlaps; keep it explicit
-  service::BatchServer server(c, cfg,
+  service::BatchServer server(c, {},
                               std::vector<service::Weight>(f.capacity(), 1));
 
   service::QueryBatch q;

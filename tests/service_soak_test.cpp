@@ -151,7 +151,6 @@ TEST(ServiceSoak, ConcurrentClientsMatchSerializedOracle) {
   contract::ContractionForest c(kN, 4, 7);
   contract::construct(c, wl.initial);
   ServiceConfig cfg;
-  cfg.overlap_updates = true;
   cfg.max_pending_updates = 4;  // small queues: exercise backpressure
   cfg.max_pending_query_batches = 8;
   BatchServer server(c, cfg, w);

@@ -422,6 +422,11 @@ std::vector<std::pair<std::string, forest::ChangeSet>> invalid_batches(
   // id, DynamicUpdater::apply would call ensure_capacity(2^32), throw
   // and halt every later update (the valid batch after the table).
   add("V+ is kNoVertex")->ins_vertex(kNoVertex).ins_edge(kNoVertex, r2);
+  // Regression: an id far beyond the capacity used to pass validation,
+  // and apply() then grew every per-vertex table to it (tens of GiB),
+  // threw and halted every later update.
+  const auto far = static_cast<VertexId>(1u << 31);
+  add("V+ id far beyond the capacity")->ins_vertex(far).ins_edge(far, r2);
   add("E- not in the forest")->del_edge(v, x2);
   add("duplicate E-")->del_edge(v, p).del_edge(v, p);
   add("E+ endpoint beyond the capacity")->ins_edge(r2, cap + 9);
@@ -547,50 +552,43 @@ TEST_F(ServiceTest, InvalidBatchesAreRejectedByCategory) {
 }
 
 TEST_F(ServiceTest, EngineThreadServesSubmittersEndToEnd) {
-  for (const bool overlap : {false, true}) {
-    // Fresh structure per run: the previous server's updates mutated it.
-    contract::ContractionForest c(kN, 4, 3);
-    contract::construct(c, f_);
-    ServiceConfig cfg;
-    cfg.overlap_updates = overlap;
-    BatchServer server(c, cfg, std::vector<Weight>(kN, 1));
-    server.start();
+  BatchServer server(*c_, {}, std::vector<Weight>(kN, 1));
+  server.start();
 
-    // Interleave query and update submissions; track the forest at every
-    // version so each result can be checked at the version it reports.
-    std::vector<forest::Forest> at_version = {f_};
-    std::vector<std::pair<QueryBatch, std::future<QueryResult>>> qfuts;
-    std::vector<std::future<UpdateResult>> ufuts;
-    for (int i = 0; i < 12; ++i) {
-      QueryBatch q = sample_queries(400 + i, 120);
-      qfuts.emplace_back(q, server.submit_queries(q));
-      if (i % 3 == 1) {
-        UpdateRequest u;
-        u.batch = forest::make_delete_batch(at_version.back(), 5, 600 + i);
-        at_version.push_back(
-            forest::apply_change_set(at_version.back(), u.batch));
-        ufuts.push_back(server.submit_update(std::move(u)));
-      }
+  // Interleave query and update submissions; track the forest at every
+  // version so each result can be checked at the version it reports.
+  std::vector<forest::Forest> at_version = {f_};
+  std::vector<std::pair<QueryBatch, std::future<QueryResult>>> qfuts;
+  std::vector<std::future<UpdateResult>> ufuts;
+  for (int i = 0; i < 12; ++i) {
+    QueryBatch q = sample_queries(400 + i, 120);
+    qfuts.emplace_back(q, server.submit_queries(q));
+    if (i % 3 == 1) {
+      UpdateRequest u;
+      u.batch = forest::make_delete_batch(at_version.back(), 5, 600 + i);
+      at_version.push_back(
+          forest::apply_change_set(at_version.back(), u.batch));
+      ufuts.push_back(server.submit_update(std::move(u)));
     }
-    server.stop();  // drains everything admitted above
-
-    std::uint64_t expect_version = 1;
-    for (auto& uf : ufuts) {
-      EXPECT_EQ(uf.get().version, expect_version++) << "overlap=" << overlap;
-    }
-    const std::vector<Weight> w(kN, 1);
-    for (auto& [q, fut] : qfuts) {
-      QueryResult r = fut.get();
-      ASSERT_LT(r.version, at_version.size());
-      expect_matches(q, r, at_version[r.version], w);
-    }
-    EXPECT_THROW(server.submit_queries(QueryBatch{}), std::runtime_error)
-        << "submit after stop() must fail fast";
-
-    const ServiceStats s = server.stats();
-    EXPECT_EQ(s.updates_applied, ufuts.size());
-    EXPECT_EQ(s.queries_served, 12u * 3u * 120u);
   }
+  server.stop();  // drains everything admitted above
+
+  std::uint64_t expect_version = 1;
+  for (auto& uf : ufuts) {
+    EXPECT_EQ(uf.get().version, expect_version++);
+  }
+  const std::vector<Weight> w(kN, 1);
+  for (auto& [q, fut] : qfuts) {
+    QueryResult r = fut.get();
+    ASSERT_LT(r.version, at_version.size());
+    expect_matches(q, r, at_version[r.version], w);
+  }
+  EXPECT_THROW(server.submit_queries(QueryBatch{}), std::runtime_error)
+      << "submit after stop() must fail fast";
+
+  const ServiceStats s = server.stats();
+  EXPECT_EQ(s.updates_applied, ufuts.size());
+  EXPECT_EQ(s.queries_served, 12u * 3u * 120u);
 }
 
 TEST_F(ServiceTest, ConcurrentStopIsSafe) {

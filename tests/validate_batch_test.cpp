@@ -3,12 +3,13 @@
 // forest::check_change_set. Inputs are every candidate batch the harness
 // generators produce (including the invalid ones generate_trace
 // discards) and targeted shapes: cross-tree and in-tree cycles, second
-// parents, degree overflow, absent V-, ids beyond the capacity, E- ∩ E+
-// bounces and subtree moves within a tree. Each candidate is judged three
-// ways: by the reference on a mirror forest, by validate_change_set
-// called directly, and by a BatchServer's admission through step(). All
-// three must agree, and ServiceStats::validate_fallbacks must show that
-// both the O(m log n) rules and the exact path decided batches.
+// parents, degree overflow, absent V-, ids beyond the capacity (up to
+// 2^31 and at forest::vplus_id_limit), E- ∩ E+ bounces and subtree moves
+// within a tree. Each candidate is judged three ways: by the reference on
+// a mirror forest, by validate_change_set called directly, and by a
+// BatchServer's admission through step(). All three must agree, and
+// ServiceStats::validate_fallbacks must show that both the O(m log n)
+// rules and the exact path decided batches.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -229,10 +230,17 @@ ChangeSet targeted_candidate(const Forest& f, SplitMix64& rng) {
       const VertexId id = fresh_id(f, rng);
       const VertexId p = random_present(f, rng);
       if (p == kNoVertex) break;
-      switch (rng.next_below(4)) {
+      // The smallest V+ id a one-vertex batch may not use, and one far
+      // beyond it.
+      const auto limit =
+          static_cast<VertexId>(forest::vplus_id_limit(f.capacity(), 1));
+      const auto far = static_cast<VertexId>(1u << 31);
+      switch (rng.next_below(6)) {
         case 0: m.ins_vertex(id).ins_edge(id, p); break;
         case 1: m.ins_edge(forest::root_of(f, p), id); break;
         case 2: m.del_edge(id, p); break;
+        case 3: m.ins_vertex(limit).ins_edge(limit, p); break;
+        case 4: m.ins_vertex(far).ins_edge(far, p); break;
         default: m.ins_vertex(kNoVertex).ins_edge(kNoVertex, p); break;
       }
       break;
@@ -359,6 +367,35 @@ TEST_F(ValidateBatch, TargetedShapesAgreeWithReference) {
   EXPECT_LT(exact, judged) << "the O(m log n) rules never decided";
   EXPECT_GT(invalid, 0u);
   EXPECT_LT(invalid, judged);
+}
+
+// Both validators draw the V+ id limit at the same place: the last id
+// below it applies (and grows the universe), the limit itself and 2^31 are
+// rejected, and the server keeps applying valid batches afterwards.
+TEST_F(ValidateBatch, VPlusIdLimitAgreesWithReference) {
+  SplitMix64 rng(0x1D5);
+  for (int i = 0; i < 8; ++i) {
+    const Forest f = test::kShapes[i % std::size(test::kShapes)].build(
+        60 + 40 * i, rng.next(), 12);
+    Differential d(f, rng.next());
+    VertexId p = 0;  // a parent with a free child slot
+    while (!f.present(p) || f.degree(p) >= f.degree_bound()) ++p;
+    const auto limit = static_cast<VertexId>(
+        forest::vplus_id_limit(d.mirror().capacity(), 1));
+    for (const VertexId id : {static_cast<VertexId>(1u << 31), limit,
+                              static_cast<VertexId>(limit - 1)}) {
+      ChangeSet m;
+      m.ins_vertex(id).ins_edge(id, p);
+      ASSERT_TRUE(d.judge(m)) << "V+ id " << id;
+    }
+    EXPECT_EQ(d.invalid, 2u);
+    EXPECT_EQ(d.mirror().capacity(), limit);
+    ChangeSet next;
+    next.ins_vertex(limit).ins_edge(limit, limit - 1);
+    ASSERT_TRUE(d.judge(next));
+    EXPECT_EQ(d.invalid, 2u) << "a valid batch after the rejections";
+    d.expect_counters();
+  }
 }
 
 TEST_F(ValidateBatch, HarnessCandidatesAgreeWithReference) {

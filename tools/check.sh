@@ -2,8 +2,8 @@
 # One-script local runner for the parct static-analysis gate
 # (docs/STATIC_ANALYSIS.md): clang-tidy over the exported compile
 # commands, cppcheck over src/, the Clang thread-safety gate (capability
-# annotations, docs/STATIC_ANALYSIS.md §3), the shadow-annotation
-# coverage audit, and the project lint (lint_parallel.py).
+# annotations, docs/STATIC_ANALYSIS.md §3), and the project lint
+# (lint_parallel.py, which includes the shadow-annotation rule).
 #
 #   tools/check.sh                 # run what is installed, skip the rest
 #   tools/check.sh --require-tools # CI mode: a missing tool is a failure
@@ -114,13 +114,6 @@ if have clang++; then
 else
   missing_tool clang++ thread-safety
 fi
-
-# --- shadow-annotation coverage (python3 only; always runs) -------------
-echo "== check_shadow_coverage.py =="
-shadow_ok=pass
-python3 "$REPO/tools/check_shadow_coverage.py" --self-test || shadow_ok=FAIL
-python3 "$REPO/tools/check_shadow_coverage.py" || shadow_ok=FAIL
-record shadow-coverage "$shadow_ok"
 
 # --- project lint (always available: python3 only) ----------------------
 echo "== lint_parallel.py =="

@@ -19,10 +19,16 @@ Rules (see docs/STATIC_ANALYSIS.md):
                   "works on my machine" races ship.
   volatile-sync   `volatile` used on shared state — volatile is not a
                   synchronization primitive in C++.
-  shadow-write    assignments to instrumented shared arrays inside
-                  parallel_for bodies of instrumented files without a
-                  PARCT_SHADOW_WRITE/WRITE_REC annotation nearby — writes
-                  the race detector cannot see defeat the instrumentation.
+  shadow-write    indexed writes (`x[i] = ...`, `x[v][r] += ...`) inside a
+                  parallel_for / parallel_for_blocked / adaptive_for /
+                  fork2join body anywhere in src/ without a
+                  PARCT_SHADOW_WRITE/WRITE_REC annotation on its line or
+                  the four above — writes the SP-bags race detector cannot see
+                  defeat the instrumentation. A write that is safe without
+                  one carries an allow marker saying why.
+  unbuilt-source  a src/ .cpp file not named in src/CMakeLists.txt — a
+                  translation unit nothing compiles escapes the compiler,
+                  the sanitizer builds and the thread-safety gate.
   vector-in-phase std::vector construction inside a parallel_for lambda or
                   a hot phase body (DynamicUpdater::apply/propagate,
                   randomized_contract) in src/contraction/ — hot-path
@@ -32,9 +38,9 @@ Rules (see docs/STATIC_ANALYSIS.md):
   snapshot-bypass reads of the live structures (c_, rcf_, agg_, updater_,
                   store_) inside the query-answering path of src/service/
                   (BatchServer::answer) — queries must only read the pinned
-                  immutable Snapshot; a live read would race the update
-                  thread that may be propagating the successor version
-                  concurrently (docs/OBSERVABILITY.md "Serving epochs").
+                  immutable Snapshot: the epoch's update has already moved
+                  the live structure to the next version when they run
+                  (docs/OBSERVABILITY.md §3a).
   adaptive-for    raw par::parallel_for / parallel_for_blocked calls in
                   src/contraction/ — frontier-sized loops must go through
                   par::adaptive_for so sub-cutover frontiers take the
@@ -73,26 +79,17 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-# Files whose parallel_for bodies are fully shadow-annotated; the
-# shadow-write rule only applies here. Keep in sync with
-# docs/STATIC_ANALYSIS.md when instrumenting new files.
-INSTRUMENTED = {
-    "src/contraction/construct.cpp",
-    "src/contraction/dynamic_update.cpp",
-    "src/contraction/contraction_forest.cpp",
-    "src/primitives/scan.hpp",
-    "src/primitives/pack.hpp",
-    "src/primitives/counting.hpp",
-}
-
-# Instrumented shared arrays: writes to these inside parallel loop bodies
-# must carry a shadow annotation within the preceding few lines.
-SHARED_ARRAYS = re.compile(
-    r"\b(status|mark_l_|mark_lx_|status_g_|old_leaf_|new_leaf_|cand_|"
-    r"offsets|sums|counts|local)\s*\[[^\]]+\]\s*(=|\+=|-=)[^=]"
+# shadow-write: an indexed write through any identifier — one or more
+# subscripts, then an assignment that is not `==`.
+INDEXED_WRITE = re.compile(
+    r"\b[A-Za-z_]\w*\s*(\[[^\]]*\])+\s*(=(?!=)|\+=|-=|\*=|/=|"
+    r"\|=|&=|\^=|<<=|>>=)"
 )
 
-SHADOW_ANNOTATION = re.compile(r"PARCT_SHADOW_WRITE(_REC)?\b")
+# The annotation that makes a write visible to the detector, searched in
+# the code (not the comments) of the write's line and the four above it.
+SHADOW_ANNOTATION = re.compile(r"\bPARCT_SHADOW_WRITE(_REC)?\s*\(")
+SHADOW_WINDOW = 4
 
 # std::thread::id is plain bookkeeping data, not thread creation.
 RAW_THREAD = re.compile(r"\bstd::thread\b(?!::)|\bpthread_create\b")
@@ -141,8 +138,9 @@ HOT_PHASE_FN = re.compile(
 )
 
 # The serving layer's query-answering path: everything reachable from
-# BatchServer::answer runs concurrently with an overlapped apply() on the
-# live structure, so it may only read the pinned Snapshot.
+# BatchServer::answer runs after the epoch's update has moved the live
+# structure past the pinned version, so it may only read the pinned
+# Snapshot.
 QUERY_PATH_FN = re.compile(r"\b(BatchServer::)?answer\s*\(")
 
 # Live (mutable, update-owned) members of the serving layer. `snap`/pinned
@@ -175,7 +173,9 @@ DURABILITY_WRITERS = {
 # Loop constructs that open a tracked lambda extent for the shadow-write /
 # vector-in-phase rules; adaptive_for bodies are the same bodies
 # parallel_for would run, so the rules must keep applying inside them.
-TRACKED_LOOP = re.compile(r"\b(parallel_for(_blocked)?|adaptive_for)\s*\(")
+TRACKED_LOOP = re.compile(
+    r"\b(parallel_for(_blocked)?|adaptive_for|fork2join)\s*\("
+)
 
 
 def allowed(rule: str, lines: list[str], idx: int) -> bool:
@@ -199,11 +199,11 @@ def lint_file(path: Path, findings: list[str]) -> None:
         lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError:
         return
-    in_parallel_for = rel in INSTRUMENTED
+    in_src = rel.startswith("src/")
     in_contraction = rel.startswith("src/contraction/")
     in_service = rel.startswith("src/service/")
-    track_lambdas = in_parallel_for or in_contraction
-    depth_stack: list[int] = []  # brace depth at each open parallel_for
+    depth_stack: list[int] = []  # brace depth at each open tracked loop
+    code_lines: list[str] = []  # comment-free code of every line so far
     depth = 0
     in_block_comment = False
     prev_code = ""  # last non-blank code line, for continuation detection
@@ -220,13 +220,21 @@ def lint_file(path: Path, findings: list[str]) -> None:
                 code = code.split("*/", 1)[1]
                 in_block_comment = False
             else:
+                code_lines.append("")
                 continue
         if "/*" in code and "*/" not in code:
             code = code.split("/*", 1)[0]
             in_block_comment = True
         code = re.sub(r"/\*.*?\*/", "", code)
+        code_lines.append(code)
 
         loc = f"{rel}:{idx + 1}"
+        # Inside a tracked loop body: an enclosing one, or one this line
+        # opens with its lambda's brace.
+        loop = TRACKED_LOOP.search(code) if in_src else None
+        in_loop = bool(depth_stack) or (
+            loop is not None and "{" in code[loop.end() :]
+        )
 
         # raw-thread: everywhere except src/parallel/ (the runtime owns
         # thread creation) and tools/tests that exercise the runtime.
@@ -285,7 +293,7 @@ def lint_file(path: Path, findings: list[str]) -> None:
         if (
             in_contraction
             and VECTOR_CONSTRUCT.search(code)
-            and (depth_stack or (hot_depth is not None and hot_entered))
+            and (in_loop or (hot_depth is not None and hot_entered))
         ):
             if not allowed("vector-in-phase", lines, idx):
                 findings.append(
@@ -294,19 +302,21 @@ def lint_file(path: Path, findings: list[str]) -> None:
                     "*_into primitive (docs/PERFORMANCE.md)"
                 )
 
-        # shadow-write: inside parallel_for bodies of instrumented files.
-        if in_parallel_for and depth_stack and SHARED_ARRAYS.search(code):
-            window = lines[max(0, idx - 4) : idx + 1]
+        # shadow-write: indexed writes inside tracked loop bodies in src/.
+        if in_loop and INDEXED_WRITE.search(code):
+            window = code_lines[max(0, idx - SHADOW_WINDOW) :]
             if not any(SHADOW_ANNOTATION.search(w) for w in window):
                 if not allowed("shadow-write", lines, idx):
                     findings.append(
-                        f"{loc}: shadow-write: write to instrumented shared "
-                        "array inside parallel_for without a "
-                        "PARCT_SHADOW_WRITE within 4 lines"
+                        f"{loc}: shadow-write: indexed write inside a "
+                        "parallel loop body without a PARCT_SHADOW_WRITE "
+                        f"within {SHADOW_WINDOW} lines — annotate it, or "
+                        "allow it with the reason it is safe"
                     )
 
         # snapshot-bypass: live-structure reads inside the serving query
-        # path (which runs concurrently with an overlapped apply()).
+        # path (which runs after the epoch's update moved the live
+        # structure past the pinned version).
         if (
             in_service
             and query_depth is not None
@@ -317,7 +327,7 @@ def lint_file(path: Path, findings: list[str]) -> None:
                 findings.append(
                     f"{loc}: snapshot-bypass: query path reads the live "
                     "structure — answer queries from the pinned Snapshot "
-                    "only (it may be mutated by the overlapped update)"
+                    "only (the live one is already at the next version)"
                 )
 
         # fault-macro: injection sites outside src/fault/ must use the
@@ -382,8 +392,8 @@ def lint_file(path: Path, findings: list[str]) -> None:
             query_depth = depth
             query_entered = False
 
-        # Track parallel_for / adaptive_for lambda extents by brace depth.
-        if track_lambdas and TRACKED_LOOP.search(code):
+        # Track loop lambda extents by brace depth.
+        if loop is not None:
             depth_stack.append(depth)
         opens = code.count("{")
         closes = code.count("}")
@@ -399,7 +409,13 @@ def lint_file(path: Path, findings: list[str]) -> None:
         depth += opens - closes
         while depth_stack and depth < depth_stack[-1]:
             depth_stack.pop()
-        if depth_stack and depth == depth_stack[-1] and ");" in code:
+        # The call's statement ends here (not a `g(0); },` inside one of
+        # fork2join's lambdas).
+        if (
+            depth_stack
+            and depth == depth_stack[-1]
+            and code.rstrip().endswith(");")
+        ):
             depth_stack.pop()
         if hot_depth is not None:
             if depth > hot_depth:
@@ -415,6 +431,19 @@ def lint_file(path: Path, findings: list[str]) -> None:
                 query_entered = False
         if code.strip():
             prev_code = code
+
+
+def lint_sources_built(findings: list[str]) -> None:
+    """unbuilt-source: every src/ .cpp file is named in src/CMakeLists.txt."""
+    cmake = (REPO / "src" / "CMakeLists.txt").read_text(encoding="utf-8")
+    listed = set(re.findall(r"[\w./-]+\.cpp\b", cmake))
+    for path in sorted((REPO / "src").rglob("*.cpp")):
+        rel = path.relative_to(REPO / "src").as_posix()
+        if rel not in listed:
+            findings.append(
+                f"src/{rel}: unbuilt-source: not named in src/CMakeLists.txt "
+                "— no build compiles it, so no compiled-in analysis covers it"
+            )
 
 
 def self_test() -> int:
@@ -600,7 +629,7 @@ def self_test() -> int:
             "vector-in-phase",
         ),
         (
-            # ...and so does shadow-write in instrumented files.
+            # ...and so does shadow-write.
             "src/primitives/scan.hpp",
             "void f() {\n"
             "  par::adaptive_for(0, n, [&](std::size_t b) {\n"
@@ -608,6 +637,92 @@ def self_test() -> int:
             "  });\n"
             "}\n",
             "shadow-write",
+        ),
+        (
+            # shadow-write covers any indexed write in an adaptive_for body,
+            # not only a fixed list of array names.
+            "src/contraction/dynamic_update.cpp",
+            "void f() {\n"
+            "  par::adaptive_for(0, m.size(), [&](std::size_t k) {\n"
+            "    const VertexId v = m[k];\n"
+            "    xset_[k] = {v, 0};\n"
+            "  });\n"
+            "}\n",
+            "shadow-write",
+        ),
+        (
+            # fork2join bodies are tracked, one-line lambdas included.
+            "src/primitives/sort.hpp",
+            "void f() {\n"
+            "  par::fork2join([&] { a[0] = 1; }, [&] { a[1] = 2; });\n"
+            "}\n",
+            "shadow-write",
+        ),
+        (
+            "src/primitives/sort.hpp",
+            "void f() {\n"
+            "  par::fork2join(\n"
+            "      [&] { g(0); },\n"
+            "      [&] {\n"
+            "        out[1] += 2;\n"
+            "      });\n"
+            "}\n",
+            "shadow-write",
+        ),
+        (
+            # Every file in src/ is covered; nested subscripts are writes.
+            "src/rc/foo.hpp",
+            "void f() {\n"
+            "  par::parallel_for(0, n, [&](std::size_t k) {\n"
+            "    vals_[v][i] = combine(vals_[v][i - 1], x);\n"
+            "  });\n"
+            "}\n",
+            "shadow-write",
+        ),
+        (
+            # The annotation counts only as code, not inside a comment.
+            "src/rc/foo.hpp",
+            "void f() {\n"
+            "  par::parallel_for(0, n, [&](std::size_t i) {\n"
+            "    // PARCT_SHADOW_WRITE(analysis::buffer_cell(buf, i));\n"
+            "    out[i] = g(i);\n"
+            "  });\n"
+            "}\n",
+            "shadow-write",
+        ),
+        (
+            # Record-level annotations satisfy the rule; comparisons,
+            # commented-out writes and writes after the loop closes are
+            # not findings.
+            "src/rc/foo.hpp",
+            "void f() {\n"
+            "  par::parallel_for(0, n, [&](std::size_t v) {\n"
+            "    PARCT_SHADOW_WRITE_REC(sid, v, r);\n"
+            "    recs[v] = make(v);\n"
+            "    if (out[v] == x) count();\n"
+            "    // out[v] = g(v);\n"
+            "  });\n"
+            "  out[0] = 1;\n"
+            "}\n",
+            None,
+        ),
+        (
+            "src/rc/foo.hpp",
+            "void f() {\n"
+            "  par::parallel_for(0, n, [&](std::size_t i) {\n"
+            "    // parct-lint: allow(shadow-write) reason: test fixture\n"
+            "    out[i] = g(i);\n"
+            "  });\n"
+            "}\n",
+            None,
+        ),
+        (
+            # Outside src/ the rule is silent.
+            "tools/foo.cpp",
+            "void f() {\n"
+            "  par::parallel_for(0, n, [&](std::size_t i) { out[i] = 1; });\n"
+            "}\n",
+            None,
         ),
         (
             # Query path reading the live RCForest instead of the snapshot.
@@ -770,6 +885,17 @@ def self_test() -> int:
                         f"got {hit} ({findings})"
                     )
                 p.unlink()
+            # unbuilt-source: b.cpp is missing from src/CMakeLists.txt.
+            (Path(tmp) / "src" / "CMakeLists.txt").write_text(
+                "add_library(parct\n  rc/a.cpp\n)\n"
+            )
+            for name in ("a", "b"):
+                (Path(tmp) / "src" / "rc" / f"{name}.cpp").write_text("\n")
+            findings = []
+            lint_sources_built(findings)
+            if len(findings) != 1 or "rc/b.cpp: unbuilt-source" not in findings[0]:
+                failures += 1
+                print(f"self-test unbuilt-source case FAILED: {findings}")
         finally:
             REPO = saved_repo
     if failures:
@@ -783,6 +909,7 @@ def main(argv: list[str]) -> int:
         return self_test()
     roots = [REPO / "src", REPO / "tools"]
     findings: list[str] = []
+    lint_sources_built(findings)
     for root in roots:
         for path in sorted(root.rglob("*")):
             if path.suffix in {".cpp", ".hpp", ".h", ".cc"}:
