@@ -1,6 +1,5 @@
 #include "durability/checkpoint.hpp"
 
-#include <cstdio>
 #include <cstring>
 #include <charconv>
 #include <fstream>
@@ -100,17 +99,10 @@ std::string write_checkpoint(const std::string& dir, std::uint64_t version,
   const std::string tmp_path = final_path + ".tmp";
   {
     detail::Fd fd = detail::open_trunc(tmp_path);
-    detail::write_fully(fd, image.data(), image.size(), tmp_path);
+    detail::write_fully(fd, image.data(), image.size(), 0, tmp_path);
     detail::durable_sync(fd, tmp_path);
   }
-  // Fault site: a crash between writing the temp file and publishing it.
-  // A firing hit leaves only the .tmp, which recovery ignores.
-  if (PARCT_FAULT_POINT(fault::Site::kDurabilityRename)) {
-    throw fault::InjectedFault(fault::Site::kDurabilityRename);
-  }
-  if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    throw detail::io_error("rename failed for", final_path);
-  }
+  detail::rename_into_place(tmp_path, final_path);
   detail::sync_dir(dir);
   return final_path;
 }

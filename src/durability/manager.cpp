@@ -21,20 +21,33 @@ Manager::Manager(std::string dir) : dir_(std::move(dir)) {
 }
 
 void Manager::open_log(std::uint64_t version) {
-  writer_ = std::make_unique<WalWriter>(dir_, version);
+  // An empty open segment based at `version` is what a new one would be
+  // (a server set up right after checkpoint(version) asks for it again).
+  if (writer_ && writer_->base_version() == version &&
+      writer_->records() == 0) {
+    return;
+  }
+  // Once its rename lands, a segment based at `version` fences the open
+  // one there. A failure before the rename leaves only a .tmp, and the
+  // open segment keeps taking records; a failure after it closes the log,
+  // so later appends throw rather than log records recovery would drop.
+  bool renamed = false;
+  try {
+    writer_ = std::make_unique<WalWriter>(dir_, version, &renamed);
+  } catch (...) {
+    if (renamed) writer_.reset();
+    throw;
+  }
 }
 
 void Manager::append(
     std::uint64_t version, const forest::ChangeSet& batch,
     const std::vector<std::pair<VertexId, Weight>>& vertex_weights) {
   if (!writer_) {
-    throw std::runtime_error("parct::durability: append without open_log");
+    throw std::runtime_error(
+        "parct::durability: append without an open WAL segment");
   }
-  WalRecord rec;
-  rec.version = version;
-  rec.batch = batch;
-  rec.vertex_weights = vertex_weights;
-  writer_->append(rec);
+  writer_->append(version, batch, vertex_weights);
   wal_records_.fetch_add(1, std::memory_order_relaxed);
   wal_bytes_.store(writer_->bytes(), std::memory_order_relaxed);
 }
@@ -62,7 +75,9 @@ void Manager::prune() {
       segments.emplace_back(*b, entry.path());
     } else if (name.size() > 4 &&
                name.compare(name.size() - 4, 4, ".tmp") == 0) {
-      fs::remove(entry.path(), ec);  // crashed checkpoint write; best-effort
+      // A checkpoint or segment that failed before its rename;
+      // best-effort.
+      fs::remove(entry.path(), ec);
     }
   }
   if (ckpts.size() <= kKeepCheckpoints) {

@@ -49,21 +49,29 @@ class Manager {
   const std::string& dir() const { return dir_; }
 
   /// Opens a fresh WAL segment based at `version`, superseding any open
-  /// one. Truncation of an existing same-named segment is safe: recovery
-  /// only resumes at a version past every acknowledged record, so a
-  /// same-based leftover holds only records recovery already discarded.
+  /// one (an open segment based at `version` that holds no record is
+  /// kept as it is); the segment is committed by rename. Replacing an
+  /// existing same-named segment is safe: recovery only resumes at a
+  /// version past every acknowledged record, so a same-based leftover
+  /// holds only records recovery already discarded. On a failure before
+  /// the rename the open segment stays in use; after it, no segment is
+  /// open and append throws, because the new segment may already fence
+  /// the old.
   void open_log(std::uint64_t version);
 
-  /// Appends one admitted update (producing `version`) and fsyncs it.
-  /// Requires open_log. Throws on failure — the caller must then treat
-  /// in-memory state as ahead of durable state (fail-stop for updates).
+  /// Appends one admitted update (producing `version`) and syncs it.
+  /// Requires an open segment. Throws on failure — the caller must then
+  /// treat in-memory state as ahead of durable state (fail-stop for
+  /// updates).
   void append(std::uint64_t version, const forest::ChangeSet& batch,
               const std::vector<std::pair<VertexId, Weight>>& vertex_weights);
 
   /// Writes a checkpoint at `version`, rotates the WAL onto a segment
   /// based at `version`, and prunes files superseded by the kept
-  /// checkpoints. Throws on failure with the previous checkpoint (and the
-  /// current WAL segment) intact — the rename is the commit point.
+  /// checkpoints. Throws on failure with the previous checkpoint intact —
+  /// the rename is the commit point. The current WAL segment stays open
+  /// unless the rotation failed after the new segment's rename
+  /// (open_log).
   void checkpoint(const contract::ContractionForest& c,
                   const std::vector<Weight>& weights, std::uint64_t version);
 

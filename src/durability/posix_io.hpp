@@ -1,10 +1,10 @@
 // Internal POSIX file-descriptor helpers for the durability layer: RAII
-// fd ownership, full-buffer writes, and the durable-sync points where the
-// `durability-fsync` fault site is armed. The durability layer writes
-// through raw fds (not std::ofstream) so that fsync and O_APPEND are
-// available and write errors are never swallowed by stream state — the
-// `durability-io` lint rule keeps other service/durability code off ad-hoc
-// file output entirely.
+// fd ownership, positioned full-buffer writes, commit by rename, and the
+// sync points where the `durability-fsync` fault site is armed. The
+// durability layer writes through raw fds (not std::ofstream) so that
+// fsync, fdatasync and pwrite are available and write errors are never
+// swallowed by stream state — the `durability-io` lint rule keeps other
+// service/durability code off ad-hoc file output entirely.
 #pragma once
 
 #include <fcntl.h>
@@ -12,6 +12,8 @@
 
 #include <cerrno>
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -55,23 +57,26 @@ inline std::runtime_error io_error(const std::string& what,
                             "': " + std::strerror(errno));
 }
 
-/// O_WRONLY|O_CREAT|O_TRUNC — a fresh file (WAL segment, checkpoint tmp).
+/// O_WRONLY|O_CREAT|O_TRUNC — a fresh `.tmp` (checkpoint or WAL segment).
 inline Fd open_trunc(const std::string& path) {
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) throw io_error("cannot create", path);
   return Fd(fd);
 }
 
-/// Writes all `n` bytes (retrying short writes); throws on any error.
+/// Writes all `n` bytes at file offset `offset` (retrying short writes);
+/// throws on any error.
 inline void write_fully(const Fd& fd, const char* data, std::size_t n,
-                        const std::string& path) {
+                        std::uint64_t offset, const std::string& path) {
   while (n > 0) {
-    const ::ssize_t w = ::write(fd.get(), data, n);
+    const ::ssize_t w =
+        ::pwrite(fd.get(), data, n, static_cast<::off_t>(offset));
     if (w < 0) {
       if (errno == EINTR) continue;
       throw io_error("write failed on", path);
     }
     data += w;
+    offset += static_cast<std::uint64_t>(w);
     n -= static_cast<std::size_t>(w);
   }
 }
@@ -86,12 +91,37 @@ inline void durable_sync(const Fd& fd, const std::string& path) {
   if (::fsync(fd.get()) != 0) throw io_error("fsync failed on", path);
 }
 
+/// fdatasync behind the same fault site. It forces only the data blocks
+/// (and a size change, which callers avoid), so it is durable on its own
+/// only for bytes written over blocks that an earlier fsync already made
+/// part of the file.
+inline void data_sync(const Fd& fd, const std::string& path) {
+  if (PARCT_FAULT_POINT(fault::Site::kDurabilityFsync)) {
+    throw fault::InjectedFault(fault::Site::kDurabilityFsync);
+  }
+  if (::fdatasync(fd.get()) != 0) throw io_error("fdatasync failed on", path);
+}
+
 /// fsyncs a directory so a freshly created/renamed entry is durable.
 inline void sync_dir(const std::string& dir) {
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) throw io_error("cannot open directory", dir);
   Fd d(fd);
   durable_sync(d, dir);
+}
+
+/// Publishes a fully written and fsynced `tmp` under `final_path`, the
+/// commit point of a checkpoint or a WAL segment. The `durability-rename`
+/// fault site fires first, leaving only the `.tmp`, which recovery
+/// ignores. The caller fsyncs the directory next (sync_dir).
+inline void rename_into_place(const std::string& tmp,
+                              const std::string& final_path) {
+  if (PARCT_FAULT_POINT(fault::Site::kDurabilityRename)) {
+    throw fault::InjectedFault(fault::Site::kDurabilityRename);
+  }
+  if (std::rename(tmp.c_str(), final_path.c_str()) != 0) {
+    throw io_error("rename failed for", final_path);
+  }
 }
 
 }  // namespace parct::durability::detail

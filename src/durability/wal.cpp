@@ -1,8 +1,12 @@
 #include "durability/wal.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <cstddef>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <stdexcept>
 
@@ -30,21 +34,26 @@ bool get(const std::string& buf, std::size_t& pos, T& value) {
   return true;
 }
 
-// Record payload: format version (u16), service version (u64), the
-// ChangeSet binary encoding, then the (vertex, weight) assignments.
-std::string encode_payload(const WalRecord& rec) {
-  std::ostringstream body;
-  forest::save_change_set(rec.batch, body);
-  std::string out;
-  put(out, static_cast<std::uint16_t>(kWalFormatVersion));
-  put(out, rec.version);
-  out += body.str();
-  put(out, static_cast<std::uint64_t>(rec.vertex_weights.size()));
-  for (const auto& [v, w] : rec.vertex_weights) {
-    put(out, v);
-    put(out, static_cast<std::int64_t>(w));
-  }
-  return out;
+// A frame starts with the payload length (u32) and the payload's CRC32
+// (u32); the payload follows.
+constexpr std::size_t kFrameHeaderBytes = 2 * sizeof(std::uint32_t);
+
+// Frames up to this size never grow a writer's encode buffer.
+constexpr std::size_t kFrameReserveBytes = 4096;
+
+// The zeros segments are created with and extended by, allocated by the
+// first segment creation (so appends never allocate) and kept for the
+// process.
+const char* zero_chunk() {
+  static const char* const zeros =
+      static_cast<const char*>(std::calloc(kWalChunkBytes, 1));
+  if (zeros == nullptr) throw std::bad_alloc();
+  return zeros;
+}
+
+bool all_zero(const std::string& buf, std::size_t from) {
+  return std::all_of(buf.begin() + static_cast<std::ptrdiff_t>(from),
+                     buf.end(), [](char c) { return c == 0; });
 }
 
 bool decode_payload(const std::string& payload, WalRecord& rec) {
@@ -102,45 +111,89 @@ std::optional<std::uint64_t> wal_base_of(const std::string& filename) {
   return base;
 }
 
-WalWriter::WalWriter(const std::string& dir, std::uint64_t base_version)
+WalWriter::WalWriter(const std::string& dir, std::uint64_t base_version,
+                     bool* renamed)
     : path_(dir + "/" + wal_filename(base_version)), base_(base_version) {
-  fd_ = detail::open_trunc(path_);
+  const std::string tmp = path_ + ".tmp";
+  fd_ = detail::open_trunc(tmp);
   std::string header;
   put(header, kWalMagic);
   put(header, kWalFormatVersion);
   put(header, base_);
-  detail::write_fully(fd_, header.data(), header.size(), path_);
-  detail::durable_sync(fd_, path_);
+  detail::write_fully(fd_, header.data(), header.size(), 0, tmp);
+  detail::write_fully(fd_, zero_chunk(), kWalChunkBytes, header.size(), tmp);
+  detail::durable_sync(fd_, tmp);
+  detail::rename_into_place(tmp, path_);
+  if (renamed != nullptr) *renamed = true;
+  detail::sync_dir(dir);
   bytes_ = header.size();
+  allocated_ = bytes_ + kWalChunkBytes;
+  frame_.reserve(kFrameReserveBytes);
 }
 
-void WalWriter::append(const WalRecord& rec) {
-  const std::string payload = encode_payload(rec);
-  std::string frame;
-  put(frame, static_cast<std::uint32_t>(payload.size()));
-  put(frame, crc32(payload));
-  frame += payload;
+void WalWriter::append(
+    std::uint64_t version, const forest::ChangeSet& batch,
+    const std::vector<std::pair<VertexId, Weight>>& vertex_weights) {
+  // Payload: record format (u16), service version (u64), the ChangeSet
+  // binary encoding, then the (vertex, weight) assignments. The frame
+  // header in front of it is filled in once the payload is complete.
+  frame_.assign(kFrameHeaderBytes, '\0');
+  put(frame_, static_cast<std::uint16_t>(kWalFormatVersion));
+  put(frame_, version);
+  forest::save_change_set(batch, frame_);
+  put(frame_, static_cast<std::uint64_t>(vertex_weights.size()));
+  for (const auto& [v, w] : vertex_weights) {
+    put(frame_, v);
+    put(frame_, static_cast<std::int64_t>(w));
+  }
+  const std::size_t len = frame_.size() - kFrameHeaderBytes;
+  const auto len32 = static_cast<std::uint32_t>(len);
+  const std::uint32_t crc = crc32(frame_.data() + kFrameHeaderBytes, len);
+  std::memcpy(frame_.data(), &len32, sizeof len32);
+  std::memcpy(frame_.data() + sizeof len32, &crc, sizeof crc);
+
   // Fault site: a crash mid-append. A firing hit writes only a prefix of
   // the frame — a genuinely torn tail record for recovery to detect.
   if (PARCT_FAULT_POINT(fault::Site::kWalAppend)) {
-    detail::write_fully(fd_, frame.data(), frame.size() / 2, path_);
+    detail::write_fully(fd_, frame_.data(), frame_.size() / 2, bytes_,
+                        path_);
     throw fault::InjectedFault(fault::Site::kWalAppend);
   }
-  detail::write_fully(fd_, frame.data(), frame.size(), path_);
-  detail::durable_sync(fd_, path_);
+  const std::uint64_t end = bytes_ + frame_.size();
+  detail::write_fully(fd_, frame_.data(), frame_.size(), bytes_, path_);
+  if (end <= allocated_) {
+    // Inside the zero-filled region: the file's length and blocks are
+    // already durable, so flushing the data is enough.
+    detail::data_sync(fd_, path_);
+  } else {
+    // The frame crosses the zero-filled end: grow the file by whole
+    // chunks past it (less than one chunk of zeros after the frame), and
+    // fsync the new length along with the data.
+    const std::uint64_t chunks =
+        (end - allocated_ + kWalChunkBytes - 1) / kWalChunkBytes;
+    const std::uint64_t grown = allocated_ + chunks * kWalChunkBytes;
+    detail::write_fully(fd_, zero_chunk(),
+                        static_cast<std::size_t>(grown - end), end, path_);
+    detail::durable_sync(fd_, path_);
+    allocated_ = grown;
+  }
   ++records_;
-  bytes_ += frame.size();
+  bytes_ = end;
 }
 
 SegmentContents read_wal_segment(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = in ? std::streamoff(in.tellg()) : -1;
+  if (size < 0) {
     throw std::runtime_error("parct::durability: cannot open WAL segment '" +
                              path + "'");
   }
-  std::ostringstream raw;
-  raw << in.rdbuf();
-  const std::string buf = raw.str();
+  // One buffer of the file's size: the zero tail makes even a short
+  // segment a quarter MiB, so no staging copy.
+  std::string buf(static_cast<std::size_t>(size), '\0');
+  in.seekg(0);
+  in.read(buf.data(), static_cast<std::streamsize>(buf.size()));
+  buf.resize(static_cast<std::size_t>(in.gcount()));
 
   SegmentContents seg;
   std::size_t pos = 0;
@@ -153,11 +206,17 @@ SegmentContents read_wal_segment(const std::string& path) {
     return seg;
   }
   for (;;) {
-    if (pos == buf.size()) break;  // clean end
+    const std::size_t frame_at = pos;
     std::uint32_t len = 0;
     std::uint32_t crc = 0;
-    if (!get(buf, pos, len) || !get(buf, pos, crc) ||
-        buf.size() - pos < len) {
+    if (!get(buf, pos, len) || len == 0) {
+      // End of the records: the end of the file, or the zero length field
+      // where a preallocated segment's zero tail starts. No real payload
+      // is empty, so anything but zeros from here on is a torn tail.
+      seg.clean = all_zero(buf, frame_at);
+      break;
+    }
+    if (!get(buf, pos, crc) || buf.size() - pos < len) {
       seg.clean = false;  // torn tail: frame header or payload cut short
       break;
     }

@@ -54,10 +54,11 @@ enum class Site : unsigned {
   kEpochApply,            ///< BatchServer epoch-apply boundary — fires an
                           ///< InjectedFault abort (pre-mutation)
   kQueueAdmission,        ///< BatchServer submit_* — fires an admission drop
-  kDurabilityFsync,       ///< durability fsync (WAL or checkpoint) — fires an
-                          ///< InjectedFault before the data reaches disk
-  kDurabilityRename,      ///< checkpoint publish rename — fires an
-                          ///< InjectedFault, leaving only the .tmp file
+  kDurabilityFsync,       ///< durability fsync/fdatasync (WAL, checkpoint or
+                          ///< directory) — fires an InjectedFault before
+                          ///< the data reaches disk
+  kDurabilityRename,      ///< checkpoint or WAL segment publish rename —
+                          ///< fires an InjectedFault, leaving only the .tmp
   kWalAppend,             ///< WAL record append — fires an InjectedFault
                           ///< after a *partial* write (a torn tail record)
 };

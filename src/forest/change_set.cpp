@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <istream>
-#include <ostream>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -128,8 +127,8 @@ namespace {
 constexpr std::uint64_t kMaxChangeSetElems = 1ull << 32;
 
 template <typename T>
-void put(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof value);
+void put(std::string& out, const T& value) {
+  out.append(reinterpret_cast<const char*>(&value), sizeof value);
 }
 
 template <typename T>
@@ -155,7 +154,7 @@ void read_edges(std::istream& in, std::uint64_t n, std::vector<Edge>& out) {
 
 }  // namespace
 
-void save_change_set(const ChangeSet& m, std::ostream& out) {
+void save_change_set(const ChangeSet& m, std::string& out) {
   put(out, static_cast<std::uint64_t>(m.remove_vertices.size()));
   put(out, static_cast<std::uint64_t>(m.remove_edges.size()));
   put(out, static_cast<std::uint64_t>(m.add_vertices.size()));
@@ -169,10 +168,6 @@ void save_change_set(const ChangeSet& m, std::ostream& out) {
   for (const Edge& e : m.add_edges) {
     put(out, e.child);
     put(out, e.parent);
-  }
-  out.flush();
-  if (!out) {
-    throw std::runtime_error("parct::save_change_set: stream write failed");
   }
 }
 

@@ -72,11 +72,12 @@ std::optional<std::string> check_change_set(const Forest& f,
 /// preconditions in debug builds (use check_change_set for full checking).
 Forest apply_change_set(const Forest& f, const ChangeSet& m);
 
-/// Binary encoding of a ChangeSet (little-endian hosts): four u64 element
-/// counts (V-, E-, V+, E+) followed by the element payloads. This is the
-/// record body of the durability write-ahead log (docs/DURABILITY.md).
-/// Throws std::runtime_error if the stream reports a write failure.
-void save_change_set(const ChangeSet& m, std::ostream& out);
+/// Binary encoding of a ChangeSet (little-endian hosts), appended to
+/// `out`: four u64 element counts (V-, E-, V+, E+) followed by the element
+/// payloads. This is the record body of the durability write-ahead log
+/// (docs/DURABILITY.md); a caller that reuses `out` encodes without
+/// allocating once its capacity is there.
+void save_change_set(const ChangeSet& m, std::string& out);
 
 /// Inverse of save_change_set. Element storage grows only as elements
 /// actually arrive from the stream, so corrupt counts cannot drive a huge

@@ -123,8 +123,11 @@ class Workspace {
     Block b;
     if (!free_[cls].empty()) {
       ++stats_.hits;
-      b = std::move(free_[cls].back());
-      free_[cls].pop_back();
+      // resize, not pop_back: GCC 12's -Warray-bounds misreads the
+      // inlined pop_back of a list it last saw empty as index -1.
+      std::vector<Block>& cache = free_[cls];
+      b = std::move(cache.back());
+      cache.resize(cache.size() - 1);
     } else {
       ++stats_.misses;
       stats_.bytes_allocated += bytes;

@@ -522,7 +522,9 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
   //    every checkpoint_every updates. Failure here is degradation, not an
   //    error: the rename is the commit point, so the previous checkpoint
   //    (plus the still-growing WAL) remains a complete recovery image, and
-  //    the next interval retries.
+  //    the next interval retries. The one exception is a WAL rotation
+  //    that failed after the new segment's rename: the manager then has
+  //    no open segment, and the next update fail-stops at step 5.
   std::uint64_t checkpoint_failed = 0;
   if (update && cfg_.durability && cfg_.checkpoint_every != 0 &&
       version_ % cfg_.checkpoint_every == 0) {

@@ -134,7 +134,7 @@ struct ServiceConfig {
   std::size_t query_shed_high_water = 0;
 
   /// Durability (docs/DURABILITY.md). When set, every applied update's
-  /// ChangeSet is appended to the manager's WAL and fsync'd *before* the
+  /// ChangeSet is appended to the manager's WAL and synced *before* the
   /// epoch publishes and the update's future resolves — an acknowledged
   /// update survives a crash. The manager must outlive the server; the
   /// server opens a fresh WAL segment at its initial version on
@@ -228,7 +228,7 @@ struct ServiceStats {
   double update_seconds = 0;
   double publish_seconds = 0;
   double validate_seconds = 0;  ///< update-batch validation
-  double wal_seconds = 0;       ///< WAL append, fsync included
+  double wal_seconds = 0;       ///< WAL append, its sync included
 };
 
 struct RecoveredServer;

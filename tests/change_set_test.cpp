@@ -1,6 +1,7 @@
 // Tests for ChangeSet validation and application.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -205,8 +206,9 @@ TEST(ChangeSet, BinaryRoundTrip) {
   // exact inverse, including empty sections and an all-empty batch.
   ChangeSet m;
   m.del_vertex(4).del_edge(2, 1).del_edge(3, 0).ins_vertex(9).ins_edge(9, 2);
-  std::stringstream buf;
-  save_change_set(m, buf);
+  std::string bytes;
+  save_change_set(m, bytes);
+  std::istringstream buf(bytes);
   const ChangeSet r = load_change_set(buf);
   EXPECT_EQ(r.remove_vertices, m.remove_vertices);
   EXPECT_EQ(r.add_vertices, m.add_vertices);
@@ -221,18 +223,24 @@ TEST(ChangeSet, BinaryRoundTrip) {
     EXPECT_EQ(r.add_edges[i].parent, m.add_edges[i].parent);
   }
 
-  std::stringstream empty_buf;
-  save_change_set(ChangeSet{}, empty_buf);
+  std::string empty_bytes;
+  save_change_set(ChangeSet{}, empty_bytes);
+  EXPECT_EQ(empty_bytes.size(), 4 * sizeof(std::uint64_t));
+  std::istringstream empty_buf(empty_bytes);
   EXPECT_TRUE(load_change_set(empty_buf).empty());
+
+  // Encoding appends: a prefix already in the buffer is kept.
+  std::string prefixed = "ab";
+  save_change_set(m, prefixed);
+  EXPECT_EQ(prefixed, "ab" + bytes);
 }
 
 TEST(ChangeSet, BinaryDecodeRejectsGarbage) {
   // Truncation mid-payload.
   ChangeSet m;
   m.del_vertex(1).ins_edge(5, 6).ins_edge(7, 8);
-  std::stringstream buf;
-  save_change_set(m, buf);
-  const std::string bytes = buf.str();
+  std::string bytes;
+  save_change_set(m, bytes);
   for (const std::size_t keep : {0ul, 7ul, 33ul, bytes.size() - 1}) {
     std::stringstream cut(bytes.substr(0, keep));
     EXPECT_THROW(load_change_set(cut), std::runtime_error) << keep;

@@ -1,8 +1,9 @@
 // Chaos-kill recovery soak (docs/DURABILITY.md): for every durability
 // fault site and schedule shape, drive a checkpointing BatchServer through
-// a seeded update workload while faults fire at fsync, at the checkpoint
-// rename, and mid-WAL-append (a genuinely torn tail record), then kill the
-// server without any clean shutdown and recover the directory.
+// a seeded update workload while faults fire at a sync (fsync, fdatasync
+// or a directory fsync), at the rename that commits a checkpoint or a WAL
+// segment, and mid-WAL-append (a genuinely torn tail record), then kill
+// the server without any clean shutdown and recover the directory.
 //
 // The acceptance invariant is durable-before-ack: recovery must land at a
 // version V with  max(acked versions) <= V <= (updates applied in memory),
@@ -239,9 +240,9 @@ void run_kill_recover(const fault::Plan& plan, const std::string& dir) {
 fault::SiteSchedule make_schedule(fault::Mode mode, hashing::SplitMix64& g) {
   fault::SiteSchedule s;
   s.mode = mode;
-  // Durability sites see few hits per run (one fsync per record, one
-  // rename per checkpoint), so keep the first firing index small enough
-  // that the schedule actually fires mid-history.
+  // Durability sites see few hits per run (one sync per record, four per
+  // checkpoint, two renames per checkpoint), so keep the first firing
+  // index small enough that the schedule actually fires mid-history.
   s.at = g.next_below(6);
   s.every = 1 + g.next_below(4);
   s.len = 1 + g.next_below(3);
@@ -275,6 +276,91 @@ TEST_F(DurabilityChaos, AllDurabilitySitesCombined) {
       make_schedule(fault::Mode::kOnce, g);
   plan[fault::Site::kWalAppend] = make_schedule(fault::Mode::kBurst, g);
   run_kill_recover(plan, fresh_dir());
+}
+
+TEST_F(DurabilityChaos, FailedSegmentRotationNeverLosesAckedUpdates) {
+  // The schedule a lost acknowledged update was first reported with: a
+  // checkpoint committed, then the new segment's creation failed, and
+  // later acknowledged records went to a segment its base fenced off.
+  run_kill_recover(fault::parse_plan("seed=4269;durability-fsync:once@27"),
+                   fresh_dir());
+}
+
+TEST_F(DurabilityChaos, SyncFailureAtEveryHitNeverLosesAckedUpdates) {
+  // One failing sync at each hit of a full run in turn: every in-place
+  // (fdatasync) append, and every checkpoint's syncs — its temp file and
+  // directory, then the new segment's temp file and, after the segment's
+  // rename, the directory again.
+  std::uint64_t k = 0;
+  for (;; ++k) {
+    fault::Plan plan;
+    plan.seed = 4269;
+    plan[fault::Site::kDurabilityFsync] = {fault::Mode::kOnce, k, 1, 1};
+    run_kill_recover(plan, fresh_dir());
+    if (HasFatalFailure()) return;
+    if (fault::fired(fault::Site::kDurabilityFsync) == 0) break;
+  }
+  // Past the last hit: at least one sync per update plus the rotations.
+  EXPECT_GT(k, static_cast<std::uint64_t>(kUpdates));
+}
+
+TEST_F(DurabilityChaos, RotationFailingBeforeItsRenameKeepsTheOpenSegment) {
+  const std::string dir = fresh_dir();
+  durability::Manager mgr(dir);
+  mgr.open_log(0);
+  {
+    // Asking again for the empty segment already open creates nothing.
+    fault::Plan plan;
+    plan[fault::Site::kDurabilityFsync] = {fault::Mode::kOnce, 0, 1, 1};
+    fault::arm(plan);
+    EXPECT_NO_THROW(mgr.open_log(0));
+    EXPECT_EQ(fault::hits(fault::Site::kDurabilityFsync), 0u);
+    fault::disarm();
+  }
+  forest::ChangeSet batch;
+  batch.del_edge(3, 1);
+  mgr.append(1, batch, {});
+  for (const fault::Site site :
+       {fault::Site::kDurabilityFsync, fault::Site::kDurabilityRename}) {
+    // Creating a segment first syncs its .tmp, then renames it.
+    fault::Plan plan;
+    plan[site] = {fault::Mode::kOnce, 0, 1, 1};
+    fault::arm(plan);
+    EXPECT_THROW(mgr.open_log(1), fault::InjectedFault);
+    fault::disarm();
+    EXPECT_FALSE(fs::exists(dir + "/" + durability::wal_filename(1)));
+    EXPECT_TRUE(fs::exists(dir + "/" + durability::wal_filename(1) + ".tmp"));
+  }
+  // The open segment still takes records, and they read back whole.
+  mgr.append(2, batch, {});
+  const durability::SegmentContents seg =
+      durability::read_wal_segment(dir + "/" + durability::wal_filename(0));
+  EXPECT_TRUE(seg.clean);
+  ASSERT_EQ(seg.records.size(), 2u);
+  EXPECT_EQ(seg.records.back().version, 2u);
+}
+
+TEST_F(DurabilityChaos, RotationFailingAfterItsRenameClosesTheLog) {
+  const std::string dir = fresh_dir();
+  durability::Manager mgr(dir);
+  mgr.open_log(0);
+  forest::ChangeSet batch;
+  batch.del_edge(3, 1);
+  mgr.append(1, batch, {});
+  // Hit 1 is the directory fsync after the segment's rename: wal-1.log is
+  // visible and fences wal-0.log at version 1, so no record may go there.
+  fault::Plan plan;
+  plan[fault::Site::kDurabilityFsync] = {fault::Mode::kOnce, 1, 1, 1};
+  fault::arm(plan);
+  EXPECT_THROW(mgr.open_log(1), fault::InjectedFault);
+  fault::disarm();
+  EXPECT_TRUE(fs::exists(dir + "/" + durability::wal_filename(1)));
+  EXPECT_THROW(mgr.append(2, batch, {}), std::runtime_error);
+  EXPECT_EQ(mgr.wal_records(), 1u);
+  // A later rotation opens the log again.
+  mgr.open_log(1);
+  mgr.append(2, batch, {});
+  EXPECT_EQ(mgr.wal_records(), 2u);
 }
 
 TEST_F(DurabilityChaos, TornAppendNeverLosesAckedUpdates) {

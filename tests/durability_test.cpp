@@ -1,5 +1,6 @@
 // Durability-layer tests that run in every build: WAL segment round
-// trips, torn/corrupt tail handling, checkpoint container integrity,
+// trips, the byte layout, the preallocated zero tail, torn/corrupt tail
+// handling, allocation-free appends, checkpoint container integrity,
 // multi-segment recovery (including the later-segment fence), and the
 // end-to-end BatchServer checkpoint -> crash -> recover -> serve cycle.
 // The fault-injected kill matrix lives in durability_chaos_test.cpp.
@@ -7,24 +8,45 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <new>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "contraction/construct.hpp"
 #include "contraction/contraction_forest.hpp"
 #include "durability/checkpoint.hpp"
+#include "durability/crc32.hpp"
 #include "durability/manager.hpp"
 #include "durability/wal.hpp"
 #include "forest/generators.hpp"
 #include "forest/validation.hpp"
 #include "parallel/scheduler.hpp"
 #include "service/batch_server.hpp"
+
+// Counts this thread's global operator new calls while armed, so a test
+// can show that a steady stream of WAL appends allocates nothing. The
+// deletes stay out of line: inlined next to a `new`, GCC would read their
+// free() as a mismatch with operator new.
+thread_local bool t_count_allocations = false;
+thread_local std::size_t t_allocations = 0;
+
+void* operator new(std::size_t n) {
+  if (t_count_allocations) ++t_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace parct::durability {
 namespace {
@@ -90,6 +112,20 @@ class DurabilityTest : public ::testing::Test {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
+  static bool all_zero(const std::string& bytes) {
+    return std::all_of(bytes.begin(), bytes.end(),
+                       [](char ch) { return ch == 0; });
+  }
+
+  // Appends `value` little-endian, as docs/DURABILITY.md lays fields out.
+  template <typename T>
+  static void put_le(std::string& out, T value) {
+    for (std::size_t i = 0; i < sizeof value; ++i) {
+      out.push_back(static_cast<char>(
+          (static_cast<std::uint64_t>(value) >> (8 * i)) & 0xFFu));
+    }
+  }
+
   fs::path dir_;
 };
 
@@ -116,23 +152,26 @@ TEST_F(DurabilityTest, WalSegmentRoundTrip) {
 
 TEST_F(DurabilityTest, TornTailRecordIsDroppedNotFatal) {
   const std::string path = dir() + "/" + wal_filename(0);
+  std::size_t full_bytes = 0;
   {
     WalWriter w(dir(), 0);
     for (std::uint64_t v = 1; v <= 3; ++v) w.append(sample_record(v));
+    full_bytes = w.bytes();
   }
   const std::string full = read_file(path);
 
   // Every proper prefix that cuts into the final record yields exactly
-  // the first two records, never a throw, never garbage.
-  const std::string two = [&] {
+  // the first two records, never a throw, never garbage. The cuts are
+  // taken from the logical length: the file runs on into zeros.
+  const std::size_t two_bytes = [&] {
     fs::remove(path);
     WalWriter w(dir(), 0);
     w.append(sample_record(1));
     w.append(sample_record(2));
-    return read_file(path);
+    return w.bytes();
   }();
   for (const std::size_t keep :
-       {two.size() + 1, two.size() + 5, full.size() - 1}) {
+       {two_bytes + 1, two_bytes + 5, full_bytes - 1}) {
     write_file(path, full.substr(0, keep));
     const SegmentContents seg = read_wal_segment(path);
     EXPECT_FALSE(seg.clean) << keep;
@@ -149,14 +188,16 @@ TEST_F(DurabilityTest, TornTailRecordIsDroppedNotFatal) {
 
 TEST_F(DurabilityTest, CorruptRecordStopsTheScan) {
   const std::string path = dir() + "/" + wal_filename(0);
+  std::size_t logical = 0;
   {
     WalWriter w(dir(), 0);
     for (std::uint64_t v = 1; v <= 3; ++v) w.append(sample_record(v));
+    logical = w.bytes();
   }
   std::string bytes = read_file(path);
-  // Flip one byte near the middle of the file: whichever record it lands
-  // in fails its CRC and the scan keeps only the prefix before it.
-  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x40);
+  // Flip one byte near the middle of the records: whichever record it
+  // lands in fails its CRC and the scan keeps only the prefix before it.
+  bytes[logical / 2] = static_cast<char>(bytes[logical / 2] ^ 0x40);
   write_file(path, bytes);
   const SegmentContents seg = read_wal_segment(path);
   EXPECT_FALSE(seg.clean);
@@ -164,6 +205,225 @@ TEST_F(DurabilityTest, CorruptRecordStopsTheScan) {
   for (std::size_t i = 0; i < seg.records.size(); ++i) {
     expect_records_equal(seg.records[i], sample_record(i + 1));
   }
+}
+
+TEST_F(DurabilityTest, HandBuiltFrameMatchesTheDocumentedLayout) {
+  // The CRC is IEEE CRC-32 (reflected polynomial 0xEDB88320): its check
+  // value pins the polynomial.
+  EXPECT_EQ(crc32(std::string_view("123456789")), 0xCBF43926u);
+
+  // docs/DURABILITY.md §3, byte by byte: the segment header (magic,
+  // segment format 1, base version 10), then one frame.
+  std::string want;
+  put_le<std::uint64_t>(want, 0x504152435457414Cull);
+  put_le<std::uint32_t>(want, 1);
+  put_le<std::uint64_t>(want, 10);
+  std::string payload;
+  put_le<std::uint16_t>(payload, 1);   // record format
+  put_le<std::uint64_t>(payload, 11);  // version
+  put_le<std::uint64_t>(payload, 1);   // removed vertices
+  put_le<std::uint64_t>(payload, 1);   // removed edges
+  put_le<std::uint64_t>(payload, 1);   // added vertices
+  put_le<std::uint64_t>(payload, 1);   // added edges
+  put_le<std::uint32_t>(payload, 7);   // V-: vertex 7
+  put_le<std::uint32_t>(payload, 3);   // E-: child 3,
+  put_le<std::uint32_t>(payload, 1);   //     parent 1
+  put_le<std::uint32_t>(payload, 9);   // V+: vertex 9
+  put_le<std::uint32_t>(payload, 9);   // E+: child 9,
+  put_le<std::uint32_t>(payload, 3);   //     parent 3
+  put_le<std::uint64_t>(payload, 2);   // weight assignments
+  put_le<std::uint32_t>(payload, 9);
+  put_le<std::uint64_t>(payload, static_cast<std::uint64_t>(-5));
+  put_le<std::uint32_t>(payload, 3);
+  put_le<std::uint64_t>(payload, 42);
+  put_le<std::uint32_t>(want, static_cast<std::uint32_t>(payload.size()));
+  put_le<std::uint32_t>(want, crc32(payload));
+  want += payload;
+
+  WalRecord rec;
+  rec.version = 11;
+  rec.batch.del_vertex(7).del_edge(3, 1).ins_vertex(9).ins_edge(9, 3);
+  rec.vertex_weights = {{9, -5}, {3, 42}};
+
+  // read_wal_segment decodes the hand-built bytes...
+  const std::string path = dir() + "/" + wal_filename(10);
+  write_file(path, want);
+  const SegmentContents seg = read_wal_segment(path);
+  EXPECT_TRUE(seg.clean);
+  EXPECT_EQ(seg.base_version, 10u);
+  ASSERT_EQ(seg.records.size(), 1u);
+  expect_records_equal(seg.records[0], rec);
+
+  // ...and WalWriter writes exactly those bytes, then only zeros.
+  fs::remove(path);
+  std::size_t logical = 0;
+  {
+    WalWriter w(dir(), 10);
+    w.append(rec);
+    logical = w.bytes();
+  }
+  EXPECT_EQ(logical, want.size());
+  const std::string got = read_file(path);
+  EXPECT_EQ(got.substr(0, want.size()), want);
+  EXPECT_TRUE(all_zero(got.substr(want.size())));
+}
+
+TEST_F(DurabilityTest, ZeroTailReadsCleanAndAnythingElseAfterItDoesNot) {
+  const std::string path = dir() + "/" + wal_filename(0);
+  std::size_t logical = 0;
+  {
+    WalWriter w(dir(), 0);
+    // A new segment is its header plus one zeroed chunk, and reads clean.
+    const std::uintmax_t preallocated = fs::file_size(path);
+    EXPECT_EQ(preallocated, w.bytes() + kWalChunkBytes);
+    EXPECT_TRUE(read_wal_segment(path).clean);
+    EXPECT_TRUE(read_wal_segment(path).records.empty());
+    w.append(sample_record(1));
+    w.append(sample_record(2));
+    logical = w.bytes();
+    EXPECT_EQ(fs::file_size(path), preallocated) << "appends write in place";
+  }
+  const std::string good = read_file(path);
+  const SegmentContents seg = read_wal_segment(path);
+  EXPECT_TRUE(seg.clean);
+  ASSERT_EQ(seg.records.size(), 2u);
+
+  // A nonzero byte after the zero length field that ends the records —
+  // in its CRC slot, mid-tail, or last — is a torn tail, not an end.
+  for (const std::size_t off :
+       {logical + 4, logical + 100, good.size() - 1}) {
+    std::string bad = good;
+    bad[off] = 1;
+    write_file(path, bad);
+    const SegmentContents s = read_wal_segment(path);
+    EXPECT_FALSE(s.clean) << off;
+    ASSERT_EQ(s.records.size(), 2u) << off;
+  }
+
+  // A zero tail shorter than a length field, and none at all (the layout
+  // of segments written without preallocation), both read clean.
+  for (const std::size_t keep : {logical + 3, logical}) {
+    write_file(path, good.substr(0, keep));
+    const SegmentContents s = read_wal_segment(path);
+    EXPECT_TRUE(s.clean) << keep;
+    ASSERT_EQ(s.records.size(), 2u) << keep;
+    expect_records_equal(s.records[1], sample_record(2));
+  }
+}
+
+TEST_F(DurabilityTest, FrameTornOverTheZerosKeepsTheIntactPrefix) {
+  const std::string path = dir() + "/" + wal_filename(0);
+  std::size_t two = 0;
+  std::size_t three = 0;
+  {
+    WalWriter w(dir(), 0);
+    w.append(sample_record(1));
+    w.append(sample_record(2));
+    two = w.bytes();
+    w.append(sample_record(3));
+    three = w.bytes();
+  }
+  const std::string full = read_file(path);
+  const std::string frame = full.substr(two, three - two);
+  const std::string two_records =
+      full.substr(0, two) + std::string(full.size() - two, '\0');
+
+  // A crash mid-append inside the preallocated region leaves a prefix of
+  // the frame over zeros: the length field reads whole (or partly), so
+  // the CRC, not a short read, catches the tear. (A prefix that misses
+  // only zero bytes is the whole record, so the longest tear stops just
+  // short of the frame's last nonzero byte.)
+  const std::size_t last_nonzero = frame.find_last_not_of('\0');
+  for (const std::size_t torn :
+       {std::size_t(1), std::size_t(4), std::size_t(8), std::size_t(9),
+        frame.size() / 2, last_nonzero}) {
+    std::string img = two_records;
+    img.replace(two, torn, frame.substr(0, torn));
+    write_file(path, img);
+    const SegmentContents seg = read_wal_segment(path);
+    EXPECT_FALSE(seg.clean) << torn;
+    ASSERT_EQ(seg.records.size(), 2u) << torn;
+    expect_records_equal(seg.records[1], sample_record(2));
+  }
+}
+
+TEST_F(DurabilityTest, RecordsCrossingThePreallocatedEndSurviveRecovery) {
+  const std::size_t n = 300;
+  forest::Forest f = forest::random_forest(n, 5, 4, 0.4, 61);
+  contract::ContractionForest c(n, 4, 11);
+  contract::construct(c, f);
+  std::vector<Weight> want(n, 1);
+  const std::string path = dir() + "/" + wal_filename(0);
+
+  std::uint64_t version = 0;
+  std::vector<std::size_t> pairs_at;  // weight pairs per record
+  std::size_t logical = 0;
+  {
+    Manager mgr(dir());
+    mgr.checkpoint(c, want, 0);  // opens wal-0.log
+    const std::uintmax_t preallocated = fs::file_size(path);
+    // Empty batches carrying `pairs` weight assignments each: the frame
+    // size is under the test's control.
+    auto append = [&](std::size_t pairs) {
+      std::vector<std::pair<VertexId, Weight>> vw;
+      for (std::size_t i = 0; i < pairs; ++i) {
+        const auto v = static_cast<VertexId>((version * 7 + i) % n);
+        const auto w = static_cast<Weight>(version * 100000 + i);
+        vw.emplace_back(v, w);
+        if (f.present(v)) want[v] = w;
+      }
+      mgr.append(++version, forest::ChangeSet{}, vw);
+      pairs_at.push_back(pairs);
+    };
+    constexpr std::size_t kSmall = 85;  // a 1078-byte frame
+    while (mgr.wal_bytes() + 1078 <= preallocated) append(kSmall);
+    EXPECT_EQ(fs::file_size(path), preallocated) << "all in place so far";
+    append(kSmall);  // crosses the preallocated end
+    EXPECT_EQ(fs::file_size(path), preallocated + kWalChunkBytes);
+    // A record of two and a half chunks grows the file by whole chunks.
+    append((5 * kWalChunkBytes / 2) / 12);
+    const std::uintmax_t grown = fs::file_size(path);
+    EXPECT_GE(grown, mgr.wal_bytes());
+    EXPECT_GT(grown, preallocated + 2 * kWalChunkBytes);
+    EXPECT_EQ((grown - preallocated) % kWalChunkBytes, 0u);
+    append(kSmall);  // in place again
+    EXPECT_EQ(fs::file_size(path), grown);
+    logical = mgr.wal_bytes();
+  }
+
+  auto check = [&](const char* what) {
+    const SegmentContents seg = read_wal_segment(path);
+    EXPECT_TRUE(seg.clean) << what;
+    ASSERT_EQ(seg.records.size(), version) << what;
+    for (std::size_t i = 0; i < seg.records.size(); ++i) {
+      EXPECT_EQ(seg.records[i].version, i + 1) << what;
+      EXPECT_EQ(seg.records[i].vertex_weights.size(), pairs_at[i]) << what;
+    }
+    const RecoveredState st = Manager::recover(dir());
+    EXPECT_EQ(st.version, version) << what;
+    EXPECT_EQ(st.replayed, version) << what;
+    EXPECT_EQ(st.weights, want) << what;
+  };
+  check("zero tail");
+  // Cut back to its logical length — no zero tail — the segment still
+  // reads clean and recovers to the same state.
+  fs::resize_file(path, logical);
+  check("logical length");
+}
+
+TEST_F(DurabilityTest, SteadyAppendsAllocateNothing) {
+  Manager mgr(dir());
+  mgr.open_log(0);
+  forest::ChangeSet batch;
+  batch.del_edge(3, 1).ins_edge(3, 2);
+  const std::vector<std::pair<VertexId, Weight>> weights = {{3, 5}, {4, 6}};
+  mgr.append(1, batch, weights);
+  t_allocations = 0;
+  t_count_allocations = true;
+  for (std::uint64_t v = 2; v <= 64; ++v) mgr.append(v, batch, weights);
+  t_count_allocations = false;
+  EXPECT_EQ(t_allocations, 0u);
+  EXPECT_EQ(mgr.wal_records(), 64u);
 }
 
 TEST_F(DurabilityTest, CheckpointRoundTrip) {
