@@ -6,12 +6,14 @@
 //   (b) absorb the batch with the dynamic update (O(m log(n/m)) expected).
 //
 // This is the paper's core value proposition measured end-to-end on one
-// realistic usage pattern; it also shows save/load for checkpointing.
+// realistic usage pattern; it also shows save/load for checkpointing:
+// save appends the structure's bytes to a string, load decodes them back
+// through a bounds-checked ByteReader.
 //
 //   $ ./examples/streaming_buildup
 #include <chrono>
 #include <cstdio>
-#include <sstream>
+#include <string>
 
 #include "contraction/construct.hpp"
 #include "contraction/dynamic_update.hpp"
@@ -77,12 +79,16 @@ int main() {
               dyn_total, scratch_total, scratch_total / dyn_total);
 
   // Checkpoint the maintained structure and prove the copy answers queries.
-  std::stringstream checkpoint;
+  std::string checkpoint;
   contract::save(dyn, checkpoint);
-  contract::ContractionForest restored = contract::load(checkpoint);
+  prim::ByteReader in(checkpoint, "checkpoint");
+  contract::ContractionForest restored = contract::load(in);
+  in.expect_end();
   rc::RCForest rcf(restored);
-  std::printf("checkpoint restored; root(%u) = %u, connected(1, %zu) = %s\n",
-              42u, rcf.root(42), n - 1,
-              rcf.connected(1, static_cast<VertexId>(n - 1)) ? "yes" : "no");
+  std::printf(
+      "checkpoint of %zu bytes restored; root(%u) = %u, connected(1, %zu) = "
+      "%s\n",
+      checkpoint.size(), 42u, rcf.root(42), n - 1,
+      rcf.connected(1, static_cast<VertexId>(n - 1)) ? "yes" : "no");
   return 0;
 }

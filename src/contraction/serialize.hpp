@@ -4,17 +4,18 @@
 // original (identical future coin flips).
 #pragma once
 
-#include <iosfwd>
+#include <string>
 
 #include "contraction/contraction_forest.hpp"
+#include "primitives/bytes.hpp"
 
 namespace parct::contract {
 
-/// Writes `c` to `out` in the parct binary format (little-endian hosts).
-void save(const ContractionForest& c, std::ostream& out);
+/// Appends `c` to `out` in the parct binary format (little-endian hosts).
+void save(const ContractionForest& c, std::string& out);
 
-/// Reads a structure written by `save`. Throws std::runtime_error on a
-/// malformed stream.
-ContractionForest load(std::istream& in);
+/// Reads a structure written by `save` from `in`, leaving the cursor just
+/// past it. Throws std::runtime_error on malformed or truncated input.
+ContractionForest load(prim::ByteReader& in);
 
 }  // namespace parct::contract

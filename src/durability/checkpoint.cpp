@@ -1,14 +1,14 @@
 #include "durability/checkpoint.hpp"
 
-#include <cstring>
 #include <charconv>
-#include <fstream>
-#include <sstream>
+#include <cstring>
 #include <stdexcept>
+#include <string_view>
 
 #include "contraction/serialize.hpp"
 #include "durability/crc32.hpp"
 #include "durability/posix_io.hpp"
+#include "primitives/bytes.hpp"
 #include "rc/tree_aggregate.hpp"
 
 namespace parct::durability {
@@ -18,29 +18,22 @@ namespace {
 constexpr std::uint32_t kSectionForest = 1;
 constexpr std::uint32_t kSectionWeights = 2;
 constexpr std::uint32_t kSectionCount = 2;
-// A section larger than this is header corruption, not data: it bounds
-// the substr allocation while parsing an untrusted file.
+// A section larger than this is header corruption, not data.
 constexpr std::uint64_t kMaxSectionBytes = 1ull << 40;
 
-template <typename T>
-void put(std::string& out, const T& value) {
-  out.append(reinterpret_cast<const char*>(&value), sizeof value);
-}
-
-template <typename T>
-bool get(const std::string& buf, std::size_t& pos, T& value) {
-  if (pos > buf.size() || buf.size() - pos < sizeof value) return false;
-  std::memcpy(&value, buf.data() + pos, sizeof value);
-  pos += sizeof value;
-  return true;
-}
-
-void append_section(std::string& out, std::uint32_t id,
-                    const std::string& payload) {
-  put(out, id);
-  put(out, static_cast<std::uint64_t>(payload.size()));
-  out += payload;
-  put(out, crc32(payload));
+// Appends section `id` to `image`: its header, the payload `encode`
+// appends, and the payload's CRC32, patching the length in once the
+// payload is there.
+template <typename Encode>
+void append_section(std::string& image, std::uint32_t id, Encode encode) {
+  prim::append_bytes(image, id);
+  const std::size_t len_at = image.size();
+  prim::append_bytes(image, std::uint64_t{0});
+  const std::size_t begin = image.size();
+  encode(image);
+  const std::uint64_t len = image.size() - begin;
+  std::memcpy(image.data() + len_at, &len, sizeof len);
+  prim::append_bytes(image, crc32(image.data() + begin, len));
 }
 
 [[noreturn]] void corrupt(const std::string& path, const char* what) {
@@ -79,21 +72,18 @@ std::optional<std::uint64_t> checkpoint_version_of(
 std::string write_checkpoint(const std::string& dir, std::uint64_t version,
                              const contract::ContractionForest& c,
                              const std::vector<Weight>& weights) {
-  // Serialize both sections in memory first: the hardened save paths
-  // throw on stream failure, and nothing touches the directory until the
-  // full image is ready.
-  std::ostringstream forest_bytes;
-  contract::save(c, forest_bytes);
-  std::ostringstream weight_bytes;
-  rc::save_weight_table(weights, weight_bytes);
-
+  // Encode the whole image in memory first: nothing touches the directory
+  // until it is complete.
   std::string image;
-  put(image, kCheckpointMagic);
-  put(image, kCheckpointFormatVersion);
-  put(image, version);
-  put(image, kSectionCount);
-  append_section(image, kSectionForest, forest_bytes.str());
-  append_section(image, kSectionWeights, weight_bytes.str());
+  prim::append_bytes(image, kCheckpointMagic);
+  prim::append_bytes(image, kCheckpointFormatVersion);
+  prim::append_bytes(image, version);
+  prim::append_bytes(image, kSectionCount);
+  append_section(image, kSectionForest,
+                 [&](std::string& out) { contract::save(c, out); });
+  append_section(image, kSectionWeights, [&](std::string& out) {
+    rc::save_weight_table(weights, out);
+  });
 
   const std::string final_path = dir + "/" + checkpoint_filename(version);
   const std::string tmp_path = final_path + ".tmp";
@@ -108,62 +98,50 @@ std::string write_checkpoint(const std::string& dir, std::uint64_t version,
 }
 
 Checkpoint read_checkpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) corrupt(path, "cannot open");
-  std::ostringstream raw;
-  raw << in.rdbuf();
-  const std::string buf = raw.str();
-
-  std::size_t pos = 0;
-  std::uint64_t magic = 0;
-  std::uint32_t fmt = 0;
-  std::uint64_t version = 0;
-  std::uint32_t sections = 0;
-  if (!get(buf, pos, magic) || magic != kCheckpointMagic) {
-    corrupt(path, "bad magic");
-  }
-  if (!get(buf, pos, fmt) || fmt != kCheckpointFormatVersion) {
+  const std::string buf = detail::read_file(path);
+  const std::string what = "parct::durability: checkpoint '" + path + "'";
+  prim::ByteReader in(buf, what.c_str());
+  if (in.get<std::uint64_t>() != kCheckpointMagic) corrupt(path, "bad magic");
+  if (in.get<std::uint32_t>() != kCheckpointFormatVersion) {
     corrupt(path, "unsupported container version");
   }
-  if (!get(buf, pos, version)) corrupt(path, "truncated header");
-  if (!get(buf, pos, sections) || sections != kSectionCount) {
+  const auto version = in.get<std::uint64_t>();
+  if (in.get<std::uint32_t>() != kSectionCount) {
     corrupt(path, "unexpected section count");
   }
 
-  std::string forest_payload;
-  std::string weight_payload;
-  for (std::uint32_t s = 0; s < sections; ++s) {
-    std::uint32_t id = 0;
-    std::uint64_t len = 0;
-    if (!get(buf, pos, id) || !get(buf, pos, len)) {
-      corrupt(path, "truncated section header");
+  // Sections are CRC-checked where they lie in `buf`, then decoded there.
+  std::string_view forest_bytes;
+  std::string_view weight_bytes;
+  for (std::uint32_t s = 0; s < kSectionCount; ++s) {
+    const auto id = in.get<std::uint32_t>();
+    const auto len = in.get<std::uint64_t>();
+    if (len > kMaxSectionBytes) corrupt(path, "section length exceeds bound");
+    const std::string_view payload = in.take(static_cast<std::size_t>(len));
+    if (crc32(payload) != in.get<std::uint32_t>()) {
+      corrupt(path, "section CRC mismatch");
     }
-    if (len > kMaxSectionBytes || buf.size() - pos < len) {
-      corrupt(path, "truncated section payload");
-    }
-    std::string payload = buf.substr(pos, static_cast<std::size_t>(len));
-    pos += static_cast<std::size_t>(len);
-    std::uint32_t crc = 0;
-    if (!get(buf, pos, crc)) corrupt(path, "truncated section trailer");
-    if (crc32(payload) != crc) corrupt(path, "section CRC mismatch");
     if (id == kSectionForest) {
-      forest_payload = std::move(payload);
+      forest_bytes = payload;
     } else if (id == kSectionWeights) {
-      weight_payload = std::move(payload);
+      weight_bytes = payload;
     } else {
       corrupt(path, "unknown section id");
     }
   }
-  if (pos != buf.size()) corrupt(path, "trailing bytes");
-  if (forest_payload.empty() || weight_payload.empty()) {
+  in.expect_end();
+  if (forest_bytes.empty() || weight_bytes.empty()) {
     corrupt(path, "missing section");
   }
 
-  std::istringstream forest_in(forest_payload);
+  // Each section must be exactly one encoded table.
+  prim::ByteReader forest_in(forest_bytes, what.c_str());
   contract::ContractionForest forest = contract::load(forest_in);
-  std::istringstream weight_in(weight_payload);
+  forest_in.expect_end();
+  prim::ByteReader weight_in(weight_bytes, what.c_str());
   std::vector<Weight> weights =
       rc::load_weight_table<Weight>(weight_in, forest.capacity());
+  weight_in.expect_end();
   return Checkpoint{version, std::move(forest), std::move(weights)};
 }
 

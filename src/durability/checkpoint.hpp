@@ -37,7 +37,9 @@ std::string write_checkpoint(const std::string& dir, std::uint64_t version,
 
 /// Parses and fully validates one checkpoint file (magic, per-section
 /// CRC32, and the hardened contract::load / rc::load_weight_table
-/// decoders). Throws std::runtime_error on any corruption or truncation.
+/// decoders, each of which must consume its section exactly). The file
+/// is read once into one buffer and its sections are decoded in place.
+/// Throws std::runtime_error on any corruption or truncation.
 Checkpoint read_checkpoint(const std::string& path);
 
 /// `checkpoint-<version>.ckpt` naming: the version encoded in a file

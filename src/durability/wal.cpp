@@ -5,34 +5,18 @@
 #include <cstddef>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <new>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "durability/crc32.hpp"
+#include "primitives/bytes.hpp"
 
 namespace parct::durability {
 
 namespace {
 
 constexpr std::uint64_t kMaxWeightPairs = 1ull << 32;
-
-template <typename T>
-void put(std::string& out, const T& value) {
-  const char* p = reinterpret_cast<const char*>(&value);
-  out.append(p, sizeof value);
-}
-
-// Cursor-based reads over an in-memory segment image. Returns false on
-// exhaustion instead of throwing: a short read *is* the torn-tail signal.
-template <typename T>
-bool get(const std::string& buf, std::size_t& pos, T& value) {
-  if (pos > buf.size() || buf.size() - pos < sizeof value) return false;
-  std::memcpy(&value, buf.data() + pos, sizeof value);
-  pos += sizeof value;
-  return true;
-}
 
 // A frame starts with the payload length (u32) and the payload's CRC32
 // (u32); the payload follows.
@@ -51,37 +35,31 @@ const char* zero_chunk() {
   return zeros;
 }
 
-bool all_zero(const std::string& buf, std::size_t from) {
-  return std::all_of(buf.begin() + static_cast<std::ptrdiff_t>(from),
-                     buf.end(), [](char c) { return c == 0; });
+bool all_zero(std::string_view bytes) {
+  return std::all_of(bytes.begin(), bytes.end(),
+                     [](char c) { return c == 0; });
 }
 
-bool decode_payload(const std::string& payload, WalRecord& rec) {
-  std::size_t pos = 0;
-  std::uint16_t fmt = 0;
-  if (!get(payload, pos, fmt) || fmt != kWalFormatVersion) return false;
-  if (!get(payload, pos, rec.version)) return false;
-  // The ChangeSet decoder is stream-based; hand it the rest of the
-  // payload and pick the cursor back up from the stream position.
-  std::istringstream body(payload.substr(pos));
+// Decodes one CRC-checked payload; false if it is not exactly one record.
+bool decode_payload(std::string_view payload, WalRecord& rec) {
+  prim::ByteReader in(payload, "parct::durability: WAL payload");
   try {
-    rec.batch = forest::load_change_set(body);
+    if (in.get<std::uint16_t>() != kWalFormatVersion) return false;
+    rec.version = in.get<std::uint64_t>();
+    rec.batch = forest::load_change_set(in);
+    const auto n = in.get<std::uint64_t>();
+    if (n > kMaxWeightPairs) return false;
+    in.require(n, sizeof(VertexId) + sizeof(std::int64_t));
+    rec.vertex_weights.resize(static_cast<std::size_t>(n));
+    for (auto& [v, w] : rec.vertex_weights) {
+      v = in.get<VertexId>();
+      w = static_cast<Weight>(in.get<std::int64_t>());
+    }
+    in.expect_end();
   } catch (const std::runtime_error&) {
     return false;
   }
-  const std::streampos consumed = body.tellg();
-  if (consumed < 0) return false;
-  pos += static_cast<std::size_t>(consumed);
-  std::uint64_t n = 0;
-  if (!get(payload, pos, n) || n > kMaxWeightPairs) return false;
-  rec.vertex_weights.clear();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    VertexId v = 0;
-    std::int64_t w = 0;
-    if (!get(payload, pos, v) || !get(payload, pos, w)) return false;
-    rec.vertex_weights.emplace_back(v, static_cast<Weight>(w));
-  }
-  return pos == payload.size();
+  return true;
 }
 
 }  // namespace
@@ -117,9 +95,9 @@ WalWriter::WalWriter(const std::string& dir, std::uint64_t base_version,
   const std::string tmp = path_ + ".tmp";
   fd_ = detail::open_trunc(tmp);
   std::string header;
-  put(header, kWalMagic);
-  put(header, kWalFormatVersion);
-  put(header, base_);
+  prim::append_bytes(header, kWalMagic);
+  prim::append_bytes(header, kWalFormatVersion);
+  prim::append_bytes(header, base_);
   detail::write_fully(fd_, header.data(), header.size(), 0, tmp);
   detail::write_fully(fd_, zero_chunk(), kWalChunkBytes, header.size(), tmp);
   detail::durable_sync(fd_, tmp);
@@ -137,14 +115,15 @@ void WalWriter::append(
   // Payload: record format (u16), service version (u64), the ChangeSet
   // binary encoding, then the (vertex, weight) assignments. The frame
   // header in front of it is filled in once the payload is complete.
+  using prim::append_bytes;
   frame_.assign(kFrameHeaderBytes, '\0');
-  put(frame_, static_cast<std::uint16_t>(kWalFormatVersion));
-  put(frame_, version);
+  append_bytes(frame_, static_cast<std::uint16_t>(kWalFormatVersion));
+  append_bytes(frame_, version);
   forest::save_change_set(batch, frame_);
-  put(frame_, static_cast<std::uint64_t>(vertex_weights.size()));
+  append_bytes(frame_, static_cast<std::uint64_t>(vertex_weights.size()));
   for (const auto& [v, w] : vertex_weights) {
-    put(frame_, v);
-    put(frame_, static_cast<std::int64_t>(w));
+    append_bytes(frame_, v);
+    append_bytes(frame_, static_cast<std::int64_t>(w));
   }
   const std::size_t len = frame_.size() - kFrameHeaderBytes;
   const auto len32 = static_cast<std::uint32_t>(len);
@@ -182,46 +161,38 @@ void WalWriter::append(
 }
 
 SegmentContents read_wal_segment(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  const std::streamoff size = in ? std::streamoff(in.tellg()) : -1;
-  if (size < 0) {
-    throw std::runtime_error("parct::durability: cannot open WAL segment '" +
-                             path + "'");
-  }
   // One buffer of the file's size: the zero tail makes even a short
-  // segment a quarter MiB, so no staging copy.
-  std::string buf(static_cast<std::size_t>(size), '\0');
-  in.seekg(0);
-  in.read(buf.data(), static_cast<std::streamsize>(buf.size()));
-  buf.resize(static_cast<std::size_t>(in.gcount()));
+  // segment a quarter MiB, so payloads are decoded where they lie.
+  const std::string buf = detail::read_file(path);
+  prim::ByteReader in(buf, "parct::durability: WAL segment");
 
   SegmentContents seg;
-  std::size_t pos = 0;
-  std::uint64_t magic = 0;
-  std::uint32_t fmt = 0;
-  if (!get(buf, pos, magic) || magic != kWalMagic || !get(buf, pos, fmt) ||
-      fmt != kWalFormatVersion || !get(buf, pos, seg.base_version)) {
+  constexpr std::size_t kHeaderBytes =
+      sizeof kWalMagic + sizeof kWalFormatVersion + sizeof seg.base_version;
+  if (in.remaining() < kHeaderBytes || in.get<std::uint64_t>() != kWalMagic ||
+      in.get<std::uint32_t>() != kWalFormatVersion) {
     // Torn or foreign header: the segment contributes nothing.
     seg.clean = false;
     return seg;
   }
+  seg.base_version = in.get<std::uint64_t>();
   for (;;) {
-    const std::size_t frame_at = pos;
-    std::uint32_t len = 0;
-    std::uint32_t crc = 0;
-    if (!get(buf, pos, len) || len == 0) {
+    const std::uint32_t len = in.remaining() < sizeof(std::uint32_t)
+                                  ? 0
+                                  : in.get<std::uint32_t>();
+    if (len == 0) {
       // End of the records: the end of the file, or the zero length field
       // where a preallocated segment's zero tail starts. No real payload
       // is empty, so anything but zeros from here on is a torn tail.
-      seg.clean = all_zero(buf, frame_at);
+      seg.clean = all_zero(in.take(in.remaining()));
       break;
     }
-    if (!get(buf, pos, crc) || buf.size() - pos < len) {
+    if (in.remaining() < sizeof(std::uint32_t) + std::size_t{len}) {
       seg.clean = false;  // torn tail: frame header or payload cut short
       break;
     }
-    const std::string payload = buf.substr(pos, len);
-    pos += len;
+    const auto crc = in.get<std::uint32_t>();
+    const std::string_view payload = in.take(len);
     WalRecord rec;
     if (crc32(payload) != crc || !decode_payload(payload, rec)) {
       seg.clean = false;  // corrupt record: stop at the intact prefix

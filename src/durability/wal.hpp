@@ -70,9 +70,6 @@ class WalWriter {
   /// which recovery detects and drops.
   void append(std::uint64_t version, const forest::ChangeSet& batch,
               const std::vector<std::pair<VertexId, Weight>>& vertex_weights);
-  void append(const WalRecord& rec) {
-    append(rec.version, rec.batch, rec.vertex_weights);
-  }
 
   std::uint64_t base_version() const { return base_; }
   std::uint64_t records() const { return records_; }
@@ -101,9 +98,10 @@ struct SegmentContents {
   bool clean = true;
 };
 
-/// Reads one segment file. Corruption never throws past the first bad
-/// byte — the scan stops and returns the intact prefix. Throws only if
-/// the file cannot be opened at all.
+/// Reads one segment file into one buffer and decodes its payloads in
+/// place. Corruption never throws past the first bad byte — the scan
+/// stops and returns the intact prefix. Throws only if the file cannot be
+/// read at all.
 SegmentContents read_wal_segment(const std::string& path);
 
 /// `wal-<base>.log` naming: base version of a segment file name, or

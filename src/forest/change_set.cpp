@@ -1,7 +1,7 @@
 #include "forest/change_set.hpp"
 
+#include <cstddef>
 #include <cstdint>
-#include <istream>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -123,70 +123,49 @@ namespace {
 
 // Guard against corrupt counts: no real batch approaches this, and the
 // durability WAL frames each record with a length + CRC, so anything
-// larger is stream corruption, not data.
+// larger is corruption, not data.
 constexpr std::uint64_t kMaxChangeSetElems = 1ull << 32;
 
-template <typename T>
-void put(std::string& out, const T& value) {
-  out.append(reinterpret_cast<const char*>(&value), sizeof value);
-}
+// An edge is stored as its child id then its parent id: the in-memory
+// layout, so edge arrays are copied whole.
+static_assert(sizeof(Edge) == 2 * sizeof(VertexId) &&
+              offsetof(Edge, child) == 0);
 
 template <typename T>
-T get(std::istream& in) {
-  T value;
-  in.read(reinterpret_cast<char*>(&value), sizeof value);
-  if (!in) throw std::runtime_error("parct::load_change_set: truncated");
-  return value;
-}
-
-void read_vertices(std::istream& in, std::uint64_t n,
-                   std::vector<VertexId>& out) {
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(get<VertexId>(in));
-}
-
-void read_edges(std::istream& in, std::uint64_t n, std::vector<Edge>& out) {
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const VertexId child = get<VertexId>(in);
-    const VertexId parent = get<VertexId>(in);
-    out.push_back({child, parent});
-  }
+void read_array(prim::ByteReader& in, std::uint64_t n, std::vector<T>& out) {
+  in.require(n, sizeof(T));
+  out.resize(static_cast<std::size_t>(n));
+  in.get(out.data(), out.size());
 }
 
 }  // namespace
 
 void save_change_set(const ChangeSet& m, std::string& out) {
-  put(out, static_cast<std::uint64_t>(m.remove_vertices.size()));
-  put(out, static_cast<std::uint64_t>(m.remove_edges.size()));
-  put(out, static_cast<std::uint64_t>(m.add_vertices.size()));
-  put(out, static_cast<std::uint64_t>(m.add_edges.size()));
-  for (VertexId v : m.remove_vertices) put(out, v);
-  for (const Edge& e : m.remove_edges) {
-    put(out, e.child);
-    put(out, e.parent);
-  }
-  for (VertexId v : m.add_vertices) put(out, v);
-  for (const Edge& e : m.add_edges) {
-    put(out, e.child);
-    put(out, e.parent);
-  }
+  using prim::append_bytes;
+  append_bytes(out, static_cast<std::uint64_t>(m.remove_vertices.size()));
+  append_bytes(out, static_cast<std::uint64_t>(m.remove_edges.size()));
+  append_bytes(out, static_cast<std::uint64_t>(m.add_vertices.size()));
+  append_bytes(out, static_cast<std::uint64_t>(m.add_edges.size()));
+  append_bytes(out, m.remove_vertices.data(), m.remove_vertices.size());
+  append_bytes(out, m.remove_edges.data(), m.remove_edges.size());
+  append_bytes(out, m.add_vertices.data(), m.add_vertices.size());
+  append_bytes(out, m.add_edges.data(), m.add_edges.size());
 }
 
-ChangeSet load_change_set(std::istream& in) {
-  const std::uint64_t nvm = get<std::uint64_t>(in);
-  const std::uint64_t nem = get<std::uint64_t>(in);
-  const std::uint64_t nvp = get<std::uint64_t>(in);
-  const std::uint64_t nep = get<std::uint64_t>(in);
+ChangeSet load_change_set(prim::ByteReader& in) {
+  const auto nvm = in.get<std::uint64_t>();
+  const auto nem = in.get<std::uint64_t>();
+  const auto nvp = in.get<std::uint64_t>();
+  const auto nep = in.get<std::uint64_t>();
   if (nvm > kMaxChangeSetElems || nem > kMaxChangeSetElems ||
       nvp > kMaxChangeSetElems || nep > kMaxChangeSetElems) {
     throw std::runtime_error("parct::load_change_set: count exceeds bound");
   }
-  // push_back-grown (geometric capacity), never reserved from the
-  // untrusted counts: truncation surfaces before memory is committed.
   ChangeSet m;
-  read_vertices(in, nvm, m.remove_vertices);
-  read_edges(in, nem, m.remove_edges);
-  read_vertices(in, nvp, m.add_vertices);
-  read_edges(in, nep, m.add_edges);
+  read_array(in, nvm, m.remove_vertices);
+  read_array(in, nem, m.remove_edges);
+  read_array(in, nvp, m.add_vertices);
+  read_array(in, nep, m.add_edges);
   return m;
 }
 

@@ -11,13 +11,13 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "forest/forest.hpp"
 #include "forest/types.hpp"
+#include "primitives/bytes.hpp"
 
 namespace parct::forest {
 
@@ -79,10 +79,11 @@ Forest apply_change_set(const Forest& f, const ChangeSet& m);
 /// allocating once its capacity is there.
 void save_change_set(const ChangeSet& m, std::string& out);
 
-/// Inverse of save_change_set. Element storage grows only as elements
-/// actually arrive from the stream, so corrupt counts cannot drive a huge
-/// up-front allocation. Throws std::runtime_error on truncation or on
-/// counts beyond a sane bound.
-ChangeSet load_change_set(std::istream& in);
+/// Inverse of save_change_set, leaving `in` just past the batch. Each
+/// count is checked against the bytes that remain before its elements
+/// are allocated, so corrupt counts cannot drive a huge allocation.
+/// Throws std::runtime_error on truncation or on counts beyond a sane
+/// bound.
+ChangeSet load_change_set(prim::ByteReader& in);
 
 }  // namespace parct::forest

@@ -16,12 +16,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
-#include <type_traits>
+#include <string>
 #include <vector>
 
+#include "primitives/bytes.hpp"
 #include "primitives/counting.hpp"
 #include "rc/rc_forest.hpp"
 
@@ -220,11 +219,11 @@ class TreeAggregate {
 // --- (de)serialization --------------------------------------------------
 //
 // Only the weight table is stored: the accumulators are a pure function of
-// (weights, structure), so load_aggregate rebuilds them against the forest
-// it is bound to. This pairs with contraction::save/load — persist the
-// structure, persist its bound aggregate, and a reloaded (structure,
-// aggregate) pair serves queries and dynamic updates exactly like the
-// original (tests/serialize_test.cpp round-trips this end to end).
+// (weights, structure), so a loaded table is bound to its forest through
+// the TreeAggregate(rc, weights) constructor, which rebuilds them. This
+// pairs with contract::save/load: a reloaded (structure, aggregate) pair
+// serves queries and dynamic updates exactly like the original
+// (tests/serialize_test.cpp round-trips this end to end).
 
 namespace detail {
 inline constexpr std::uint64_t kAggregateMagic =
@@ -232,80 +231,42 @@ inline constexpr std::uint64_t kAggregateMagic =
 inline constexpr std::uint32_t kAggregateVersion = 1;
 }  // namespace detail
 
-/// Writes a raw weight table to `out` (little-endian hosts). T must be
-/// trivially copyable — raw-byte image, like contraction::save. Throws
-/// std::runtime_error if the stream reports a write failure, so a full
-/// disk cannot silently truncate a checkpoint.
+/// Appends a raw weight table to `out` (little-endian hosts). T must be
+/// trivially copyable — raw-byte image, like contract::save.
 template <typename T>
-void save_weight_table(const std::vector<T>& w, std::ostream& out) {
-  static_assert(std::is_trivially_copyable_v<T>,
-                "save_weight_table stores raw weight bytes");
-  auto put = [&out](const auto& value) {
-    out.write(reinterpret_cast<const char*>(&value), sizeof value);
-  };
-  put(detail::kAggregateMagic);
-  put(detail::kAggregateVersion);
-  put(static_cast<std::uint32_t>(sizeof(T)));
-  put(static_cast<std::uint64_t>(w.size()));
-  for (const T& x : w) put(x);
-  out.flush();
-  if (!out) {
-    throw std::runtime_error("parct::save_weight_table: stream write failed");
-  }
+void save_weight_table(const std::vector<T>& w, std::string& out) {
+  prim::append_bytes(out, detail::kAggregateMagic);
+  prim::append_bytes(out, detail::kAggregateVersion);
+  prim::append_bytes(out, static_cast<std::uint32_t>(sizeof(T)));
+  prim::append_bytes(out, static_cast<std::uint64_t>(w.size()));
+  prim::append_bytes(out, w.data(), w.size());
 }
 
 /// Reads a weight table written by save_weight_table. `expected_size`
-/// bounds the allocation: a stream declaring a different size is rejected
+/// bounds the allocation: a table declaring a different size is rejected
 /// before any weight bytes are read, so a corrupt header cannot drive a
 /// huge allocation. Throws std::runtime_error on any mismatch/truncation.
 template <typename T>
-std::vector<T> load_weight_table(std::istream& in,
+std::vector<T> load_weight_table(prim::ByteReader& in,
                                  std::uint64_t expected_size) {
-  static_assert(std::is_trivially_copyable_v<T>,
-                "load_weight_table reads raw weight bytes");
-  auto get = [&in](auto& value) {
-    in.read(reinterpret_cast<char*>(&value), sizeof value);
-    if (!in) throw std::runtime_error("parct::load_aggregate: truncated");
-  };
-  std::uint64_t magic = 0;
-  get(magic);
-  if (magic != detail::kAggregateMagic) {
-    throw std::runtime_error("parct::load_aggregate: bad magic");
+  if (in.get<std::uint64_t>() != detail::kAggregateMagic) {
+    throw std::runtime_error("parct::load_weight_table: bad magic");
   }
-  std::uint32_t version = 0;
-  get(version);
-  if (version != detail::kAggregateVersion) {
-    throw std::runtime_error("parct::load_aggregate: unsupported version");
+  if (in.get<std::uint32_t>() != detail::kAggregateVersion) {
+    throw std::runtime_error("parct::load_weight_table: unsupported version");
   }
-  std::uint32_t elem = 0;
-  get(elem);
-  if (elem != sizeof(T)) {
-    throw std::runtime_error("parct::load_aggregate: weight type mismatch");
+  if (in.get<std::uint32_t>() != sizeof(T)) {
+    throw std::runtime_error("parct::load_weight_table: weight type mismatch");
   }
-  std::uint64_t n = 0;
-  get(n);
+  const auto n = in.get<std::uint64_t>();
   if (n != expected_size) {
     throw std::runtime_error(
-        "parct::load_aggregate: capacity does not match the bound forest");
+        "parct::load_weight_table: size does not match the bound forest");
   }
+  in.require(n, sizeof(T));
   std::vector<T> w(static_cast<std::size_t>(n));
-  for (T& x : w) get(x);
+  in.get(w.data(), w.size());
   return w;
-}
-
-/// Writes `agg`'s weight table to `out`; see save_weight_table.
-template <typename T>
-void save_aggregate(const TreeAggregate<T>& agg, std::ostream& out) {
-  save_weight_table(agg.weights(), out);
-}
-
-/// Reads a weight table written by save_aggregate and binds it to `rc`,
-/// rebuilding the accumulators. Throws std::runtime_error on a malformed
-/// stream or a capacity/type mismatch with `rc`.
-template <typename T>
-TreeAggregate<T> load_aggregate(const RCForest& rc, std::istream& in) {
-  std::vector<T> w = load_weight_table<T>(in, rc.structure().capacity());
-  return TreeAggregate<T>(rc, std::move(w));
 }
 
 }  // namespace parct::rc

@@ -26,6 +26,7 @@
 #include "contraction/serialize.hpp"
 #include "contraction/validate.hpp"
 #include "durability/manager.hpp"
+#include "durability/posix_io.hpp"
 #include "forest/generators.hpp"
 #include "forest/tree_builder.hpp"
 #include "forest/validation.hpp"
@@ -33,6 +34,7 @@
 #include "harness/trace.hpp"
 #include "parallel/adaptive.hpp"
 #include "parallel/scheduler.hpp"
+#include "primitives/bytes.hpp"
 
 using namespace parct;
 
@@ -85,16 +87,24 @@ int usage() {
 }
 
 contract::ContractionForest load_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  return contract::load(in);
+  const std::string bytes = durability::detail::read_file(path);
+  prim::ByteReader in(bytes, path.c_str());
+  contract::ContractionForest c = contract::load(in);
+  in.expect_end();
+  return c;
 }
 
 void save_file(const contract::ContractionForest& c,
                const std::string& path) {
+  std::string bytes;
+  contract::save(c, bytes);
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("cannot write " + path);
-  contract::save(c, out);
+  if (!out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()))) {
+    throw std::runtime_error("write failed on " + path);
+  }
+  out.close();
+  if (!out) throw std::runtime_error("write failed on " + path);
 }
 
 int cmd_gen(int argc, char** argv) {
