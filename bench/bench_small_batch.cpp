@@ -20,7 +20,7 @@
 // the median and quartiles over PARCT_BENCH_REPS timed updates.
 //
 // The m=1 rows are the latency headline; the JSONL rows carry
-// chose_serial / fused_passes / ws_misses / snapshot_patches /
+// chose_serial / ws_misses / snapshot_patches /
 // validate_fallbacks so CI can gate the fast path, the patch publish and
 // the O(m log n) validation staying engaged (tools/check_alloc_budget.py
 // with bench/alloc_budget.json). The batches re-link edges across trees,

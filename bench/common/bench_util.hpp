@@ -184,8 +184,7 @@ class StatsDump {
   par::stats::PoolCounters base_;
 };
 
-/// Adds the counters (and, when built with PARCT_STATS, per-phase times)
-/// of an UpdateStats to a dump.
+/// Adds the counters and per-phase times of an UpdateStats to a dump.
 inline void add_update_stats(StatsDump& d,
                              const contract::UpdateStats& s) {
   d.num("rounds", s.rounds)
@@ -194,18 +193,15 @@ inline void add_update_stats(StatsDump& d,
       .num("affected_max", s.max_affected)
       .num("neighborhood_total", s.total_neighborhood)
       .num("chose_serial", s.chose_serial)
-      .num("fused_passes", s.fused_passes)
       .num("serial_cutover", par::serial_cutover());
-  if constexpr (contract::kStatsEnabled) {
-    static constexpr const char* kPhaseKeys[contract::kNumUpdatePhases] = {
-        "phase_initial_s", "phase_mark_s", "phase_neighborhood_s",
-        "phase_erase_s",   "phase_promote_s", "phase_leaf_s",
-        "phase_spread_s",  "phase_x_s",       "phase_serial_s"};
-    for (unsigned p = 0; p < contract::kNumUpdatePhases; ++p) {
-      d.num(kPhaseKeys[p], s.phase_seconds[p]);
-    }
-    d.num("update_total_s", s.total_seconds);
+  static constexpr const char* kPhaseKeys[contract::kNumUpdatePhases] = {
+      "phase_initial_s", "phase_mark_s",   "phase_neighborhood_s",
+      "phase_erase_s",   "phase_promote_s", "phase_spread_s",
+      "phase_x_s",       "phase_serial_s"};
+  for (unsigned p = 0; p < contract::kNumUpdatePhases; ++p) {
+    d.num(kPhaseKeys[p], s.phase_seconds[p]);
   }
+  d.num("update_total_s", s.total_seconds);
   d.num("ws_acquires", s.ws_acquires)
       .num("ws_hits", s.ws_hits)
       .num("ws_misses", s.ws_misses)
@@ -214,23 +210,20 @@ inline void add_update_stats(StatsDump& d,
       .num("ws_container_bytes", s.ws_container_bytes);
 }
 
-/// Adds the counters (and, when built with PARCT_STATS, per-phase times)
-/// of a ConstructStats to a dump.
+/// Adds the counters and per-phase times of a ConstructStats to a dump.
 inline void add_construct_stats(StatsDump& d,
                                 const contract::ConstructStats& s) {
   d.num("rounds", s.rounds)
       .num("total_live", s.total_live)
       .num("chose_serial", s.chose_serial)
       .num("serial_cutover", par::serial_cutover());
-  if constexpr (contract::kStatsEnabled) {
-    static constexpr const char* kPhaseKeys[contract::kNumConstructPhases] =
-        {"phase_classify_s", "phase_allocate_s", "phase_promote_s",
-         "phase_compact_s", "phase_serial_s"};
-    for (unsigned p = 0; p < contract::kNumConstructPhases; ++p) {
-      d.num(kPhaseKeys[p], s.phase_seconds[p]);
-    }
-    d.num("construct_total_s", s.total_seconds);
+  static constexpr const char* kPhaseKeys[contract::kNumConstructPhases] = {
+      "phase_classify_s", "phase_allocate_s", "phase_promote_s",
+      "phase_compact_s", "phase_serial_s"};
+  for (unsigned p = 0; p < contract::kNumConstructPhases; ++p) {
+    d.num(kPhaseKeys[p], s.phase_seconds[p]);
   }
+  d.num("construct_total_s", s.total_seconds);
   d.num("ws_acquires", s.ws_acquires)
       .num("ws_hits", s.ws_hits)
       .num("ws_misses", s.ws_misses)

@@ -31,11 +31,9 @@ void randomized_contract(ContractionForest& c, std::uint32_t i,
   stats.chose_serial += round_mode.serial() ? 1 : 0;
   StatsTimePoint t_phase = stats_now();
   auto phase_done = [&](double& sink) {
-    if constexpr (kStatsEnabled) {
-      if (round_mode.serial()) return;
-      sink += stats_since(t_phase);
-      t_phase = stats_now();
-    }
+    if (round_mode.serial()) return;
+    sink += stats_since(t_phase);
+    t_phase = stats_now();
   };
 
   // Phase A: contraction decisions. `status` is indexed by vertex id and
@@ -137,10 +135,8 @@ void randomized_contract(ContractionForest& c, std::uint32_t i,
     return status[live[k]] == Kind::kSurvive;
   }, next_live, ws);
   phase_done(stats.phase_seconds[kPhaseCompact]);
-  if constexpr (kStatsEnabled) {
-    if (round_mode.serial()) {
-      stats.phase_seconds[kPhaseConstructSerial] += stats_since(t_phase);
-    }
+  if (round_mode.serial()) {
+    stats.phase_seconds[kPhaseConstructSerial] += stats_since(t_phase);
   }
 }
 
@@ -168,7 +164,7 @@ ConstructStats construct(ContractionForest& c, const forest::Forest& f,
     ++i;
   }
   stats.rounds = i;
-  if constexpr (kStatsEnabled) stats.total_seconds = stats_since(t_begin);
+  stats.total_seconds = stats_since(t_begin);
   const WorkspaceStats ws_delta = workspace_stats_delta(ws_begin, ws.stats());
   stats.ws_acquires = ws_delta.acquires;
   stats.ws_hits = ws_delta.hits;

@@ -36,7 +36,7 @@ struct ConstructStats {
   /// inline (the late contraction tail; par::AdaptivePhase).
   std::uint64_t chose_serial = 0;
 
-  // --- telemetry (populated only when built with PARCT_STATS) ---
+  // --- telemetry (see contraction/telemetry.hpp) ---
   /// Wall-clock seconds per phase, summed over rounds. Index by
   /// ConstructPhase.
   double phase_seconds[kNumConstructPhases] = {};

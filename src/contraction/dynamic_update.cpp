@@ -245,9 +245,7 @@ UpdateStats DynamicUpdater::apply(const forest::ChangeSet& m,
   lset_.insert(lset_.end(), flipped_.begin(), flipped_.end());
 
   stats.initial_affected = lset_.size() + xset_.size();
-  if constexpr (kStatsEnabled) {
-    stats.phase_seconds[kPhaseInitial] += stats_since(t_begin);
-  }
+  stats.phase_seconds[kPhaseInitial] += stats_since(t_begin);
   }  // initial_mode: each propagation round makes its own serial decision
 
   // --- change propagation (paper Fig. 3, lines 19-21) ------------------
@@ -259,12 +257,10 @@ UpdateStats DynamicUpdater::apply(const forest::ChangeSet& m,
     ++i;
   }
   stats.rounds = i;
-  if constexpr (kStatsEnabled) {
-    if (serial_open) {
-      stats.phase_seconds[kPhaseSerial] += stats_since(serial_t0);
-    }
-    stats.total_seconds = stats_since(t_begin);
+  if (serial_open) {
+    stats.phase_seconds[kPhaseSerial] += stats_since(serial_t0);
   }
+  stats.total_seconds = stats_since(t_begin);
   const WorkspaceStats ws_delta =
       workspace_stats_delta(ws_begin, ws_.stats());
   stats.ws_acquires = ws_delta.acquires;
@@ -286,49 +282,38 @@ void DynamicUpdater::propagate(std::uint32_t i, EventHooks* hooks,
   stats.total_affected += nl_count + xset_.size();
   stats.max_affected =
       std::max<std::uint64_t>(stats.max_affected, nl_count + xset_.size());
-  if constexpr (kStatsEnabled) {
-    stats.affected_per_round.push_back(
-        static_cast<std::uint32_t>(nl_count + xset_.size()));
-  }
 
   // One serial-vs-parallel decision per round: a sub-cutover frontier runs
   // the whole round inline (AdaptivePhase forces the sequential paths of
   // every loop and primitive below; docs/PERFORMANCE.md "Small-batch fast
-  // path"). The per-round stats above are recorded before the decision, so
-  // both paths report identical round telemetry.
+  // path"). The round stats above are recorded before the decision, so
+  // both paths report identical counters.
   const par::AdaptivePhase round_mode(nl_count + xset_.size());
   stats.chose_serial += round_mode.serial() ? 1 : 0;
-  if constexpr (kStatsEnabled) {
-    stats.serial_per_round.push_back(round_mode.serial() ? 1 : 0);
-  }
 
   // Serial rounds skip per-phase attribution — at ~tens of ns per clock
-  // read, 8 brackets/round would dwarf a tiny round's actual work. They
+  // read, a bracket per phase would dwarf a tiny round's actual work. They
   // are instead timed whole into phase_seconds[kPhaseSerial] through a
   // bracket the caller carries across consecutive serial rounds, so a
   // fully-serial update pays two clock reads total, not two per round.
   StatsTimePoint t_phase{};
-  if constexpr (kStatsEnabled) {
-    if (round_mode.serial()) {
-      if (!serial_open) {
-        serial_t0 = stats_now();
-        serial_open = true;
-      }
-    } else {
-      if (serial_open) {
-        stats.phase_seconds[kPhaseSerial] += stats_since(serial_t0);
-        serial_open = false;
-      }
-      t_phase = stats_now();
+  if (round_mode.serial()) {
+    if (!serial_open) {
+      serial_t0 = stats_now();
+      serial_open = true;
     }
+  } else {
+    if (serial_open) {
+      stats.phase_seconds[kPhaseSerial] += stats_since(serial_t0);
+      serial_open = false;
+    }
+    t_phase = stats_now();
   }
   // Accumulates the time since the previous phase boundary into `sink`.
   auto phase_done = [&](double& sink) {
-    if constexpr (kStatsEnabled) {
-      if (round_mode.serial()) return;
-      sink += stats_since(t_phase);
-      t_phase = stats_now();
-    }
+    if (round_mode.serial()) return;
+    sink += stats_since(t_phase);
+    t_phase = stats_now();
   };
 
   // Phase A+B (fused): one traversal of L marks it (and L-union-X),
@@ -380,7 +365,6 @@ void DynamicUpdater::propagate(std::uint32_t i, EventHooks* hooks,
       }
     }
   });
-  stats.fused_passes += 1;
   phase_done(stats.phase_seconds[kPhaseMark]);
 
   prim::pack_into(cand_, [&](std::size_t k) {
@@ -388,10 +372,6 @@ void DynamicUpdater::propagate(std::uint32_t i, EventHooks* hooks,
     return cand_[k] != kNoVertex;
   }, nl_, ws_);
   stats.total_neighborhood += nl_.size();
-  if constexpr (kStatsEnabled) {
-    stats.neighborhood_per_round.push_back(
-        static_cast<std::uint32_t>(nl_.size()));
-  }
   phase_done(stats.phase_seconds[kPhaseNeighborhood]);
 
   // Phase C: erase round-(i+1) edges incident on *affected* vertices
@@ -560,7 +540,6 @@ void DynamicUpdater::propagate(std::uint32_t i, EventHooks* hooks,
       }
     }
   });
-  stats.fused_passes += 1;
   prim::pack_into(cand_, [&](std::size_t k) {
     PARCT_SHADOW_READ(cand_cell(k));
     return cand_[k] != kNoVertex;

@@ -28,8 +28,7 @@ enum UpdatePhase : unsigned {
   kPhaseNeighborhood, // B: build NL (claim-then-pack)
   kPhaseErase,        // C: erase round-(i+1) edges incident on affected
   kPhasePromote,      // D: re-promote edges over NL
-  kPhaseLeaf,         // E: new leaf statuses (fused into F; see .cpp)
-  kPhaseSpread,       // F: build next round's L (includes fused E)
+  kPhaseSpread,       // E+F: new leaf statuses, build next round's L
   kPhaseX,            // G: X bookkeeping (sequential)
   kPhaseSerial,       // whole-round time of sub-cutover serial rounds
   kNumUpdatePhases
@@ -51,23 +50,13 @@ struct UpdateStats {
   /// initial batch phase plus each propagation round makes one; see
   /// par::AdaptivePhase and docs/PERFORMANCE.md "Small-batch fast path").
   std::uint64_t chose_serial = 0;
-  /// Fused frontier traversals executed (A+B and E+F count one each per
-  /// round, on both the serial and the parallel path).
-  std::uint64_t fused_passes = 0;
 
-  // --- telemetry (populated only when built with PARCT_STATS; see
-  // contraction/telemetry.hpp and docs/OBSERVABILITY.md) ---
+  // --- telemetry (see contraction/telemetry.hpp and
+  // docs/OBSERVABILITY.md) ---
   /// Wall-clock seconds per phase, summed over rounds. Index by UpdatePhase.
   double phase_seconds[kNumUpdatePhases] = {};
   /// Wall-clock seconds of the whole apply().
   double total_seconds = 0.0;
-  /// |L| + |X| entering each propagation round.
-  std::vector<std::uint32_t> affected_per_round;
-  /// |NL| of each propagation round.
-  std::vector<std::uint32_t> neighborhood_per_round;
-  /// 1 for each round that took the serial fast path, 0 otherwise (same
-  /// length as affected_per_round; excludes the initial batch phase).
-  std::vector<std::uint8_t> serial_per_round;
 
   // --- allocation discipline (always on — counters are bumped only on
   // the scratch acquire/release paths, a handful per phase; see

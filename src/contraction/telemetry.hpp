@@ -1,69 +1,20 @@
-// Zero-cost-when-off phase telemetry for construct/dynamic_update.
-//
-// Built with the PARCT_STATS compile definition (CMake option PARCT_STATS,
-// default ON), PARCT_PHASE_TIMER(sink) accumulates the wall-clock seconds
-// of its enclosing scope into `sink`, and stats_now()/stats_since() give
-// cheap explicit timestamps. Without the definition every helper compiles
-// to nothing — no clock calls, no stores — so hot update paths pay nothing
-// (the acceptance bar: no measurable regression on bench_fig6 with
-// PARCT_STATS=OFF).
+// Phase telemetry for construct/dynamic_update and the serving epoch:
+// stats_now()/stats_since() give cheap explicit timestamps, which the
+// callers accumulate into their stats' phase_seconds / *_seconds fields.
 #pragma once
 
 #include <chrono>
 
 namespace parct::contract {
 
-#ifdef PARCT_STATS
-inline constexpr bool kStatsEnabled = true;
-#else
-inline constexpr bool kStatsEnabled = false;
-#endif
-
 using StatsTimePoint = std::chrono::steady_clock::time_point;
 
-/// Now, or a dummy value when telemetry is compiled out.
-inline StatsTimePoint stats_now() {
-  if constexpr (kStatsEnabled) return std::chrono::steady_clock::now();
-  return StatsTimePoint{};
-}
+inline StatsTimePoint stats_now() { return std::chrono::steady_clock::now(); }
 
-/// Seconds since `t0`, or 0.0 when telemetry is compiled out.
+/// Seconds since `t0`.
 inline double stats_since(StatsTimePoint t0) {
-  if constexpr (kStatsEnabled) {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-  }
-  (void)t0;
-  return 0.0;
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
 }
-
-#ifdef PARCT_STATS
-/// Scope timer: adds the scope's wall-clock seconds to the bound sink.
-class PhaseTimer {
- public:
-  explicit PhaseTimer(double& sink)
-      : sink_(&sink), t0_(std::chrono::steady_clock::now()) {}
-  ~PhaseTimer() {
-    *sink_ += std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - t0_)
-                  .count();
-  }
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  double* sink_;
-  std::chrono::steady_clock::time_point t0_;
-};
-
-#define PARCT_PHASE_TIMER_CAT2(a, b) a##b
-#define PARCT_PHASE_TIMER_CAT(a, b) PARCT_PHASE_TIMER_CAT2(a, b)
-#define PARCT_PHASE_TIMER(sink)                               \
-  ::parct::contract::PhaseTimer PARCT_PHASE_TIMER_CAT(        \
-      parct_phase_timer_, __LINE__)(sink)
-#else
-#define PARCT_PHASE_TIMER(sink) ((void)0)
-#endif
 
 }  // namespace parct::contract

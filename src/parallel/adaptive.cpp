@@ -1,146 +1,30 @@
 #include "parallel/adaptive.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <chrono>
-#include <cstdint>
-#include <cstdlib>
-
-#include "parallel/fork_join.hpp"
 
 namespace parct::par {
 
 namespace {
 
-// Fallback when neither an override, the environment, nor calibration has
-// decided: small enough that genuinely parallel-profitable frontiers stay
-// parallel on any plausible machine, large enough to cover the tail rounds
-// of small-batch propagation.
-constexpr std::size_t kDefaultSerialCutover = 1024;
+// Small enough that genuinely parallel-profitable frontiers stay parallel
+// on any plausible machine, large enough to cover the tail rounds of
+// small-batch propagation.
+constexpr std::size_t kSerialCutover = 1024;
 
-// Calibration clamp: below kMinCalibrated the fast path would miss the
-// very rounds it exists for; above kMaxCalibrated a noisy fork measurement
-// (e.g. a descheduled worker) would serialize work that scales.
-constexpr std::size_t kMinCalibrated = 64;
-constexpr std::size_t kMaxCalibrated = std::size_t{1} << 15;
-
-std::atomic<bool> g_has_override{false};
-std::atomic<std::size_t> g_override{0};
-std::atomic<std::size_t> g_calibrated{0};  // 0 = calibration has not run
-
-struct EnvCutover {
-  bool set = false;
-  std::size_t value = 0;
-};
-
-// Strict parse (strtoull, reject sign/trailing garbage/range errors), same
-// policy as PARCT_NUM_THREADS: a malformed value is ignored, not truncated.
-EnvCutover read_env_cutover() {
-  EnvCutover e;
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const char* env = std::getenv("PARCT_SERIAL_CUTOVER");
-  if (env == nullptr || *env == '\0' || *env == '-' || *env == '+') return e;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (errno != 0 || end == env || *end != '\0') return e;
-  e.set = true;
-  e.value = static_cast<std::size_t>(
-      std::min<unsigned long long>(v, SIZE_MAX));
-  return e;
-}
-
-const EnvCutover& env_cutover() {
-  static const EnvCutover e = read_env_cutover();
-  return e;
-}
-
-// Keeps the compiler from folding the calibration loop to a closed form.
-// The `volatile` here is the asm qualifier (do-not-elide), not
-// volatile-as-synchronization on shared state.
-// parct-lint: allow(volatile-sync) reason: asm qualifier, no shared state
-inline void opaque_sink(std::uint64_t& v) { asm volatile("" : "+r"(v)); }
+std::atomic<std::size_t> g_cutover{kSerialCutover};
 
 }  // namespace
 
 std::size_t serial_cutover() {
-  if (g_has_override.load(std::memory_order_acquire)) {
-    return g_override.load(std::memory_order_relaxed);
-  }
-  const EnvCutover& env = env_cutover();
-  if (env.set) return env.value;
-  const std::size_t cal = g_calibrated.load(std::memory_order_relaxed);
-  return cal != 0 ? cal : kDefaultSerialCutover;
+  return g_cutover.load(std::memory_order_relaxed);
 }
 
 void set_serial_cutover(std::size_t cutover) {
-  g_override.store(cutover, std::memory_order_relaxed);
-  g_has_override.store(true, std::memory_order_release);
+  g_cutover.store(cutover, std::memory_order_relaxed);
 }
 
 void clear_serial_cutover() {
-  g_has_override.store(false, std::memory_order_release);
+  g_cutover.store(kSerialCutover, std::memory_order_relaxed);
 }
-
-namespace adaptive_detail {
-
-std::size_t calibrated_serial_cutover() {
-  return g_calibrated.load(std::memory_order_relaxed);
-}
-
-void recalibrate_serial_cutover(unsigned num_workers) {
-  // 1-worker pools run everything serially anyway, and an active detection
-  // session would measure the serialized fork shape — both cases keep the
-  // built-in default.
-  if (num_workers <= 1 || race_detect_forced()) {
-    g_calibrated.store(0, std::memory_order_relaxed);
-    return;
-  }
-  using Clock = std::chrono::steady_clock;
-
-  // Per-iteration cost of a trivial loop body (the unit the cutover is
-  // denominated in).
-  constexpr std::size_t kIters = std::size_t{1} << 15;
-  std::uint64_t acc = 0x9E3779B97F4A7C15ull;
-  const auto t0 = Clock::now();
-  for (std::size_t i = 0; i < kIters; ++i) {
-    acc += i ^ (acc >> 7);
-    opaque_sink(acc);
-  }
-  const auto t1 = Clock::now();
-
-  // Amortized fork2join overhead, including the push/pop/wake traffic a
-  // real sub-cutover parallel_for would pay.
-  constexpr std::size_t kForks = 256;
-  for (std::size_t k = 0; k < kForks; ++k) {
-    fork2join([] {}, [] {});
-  }
-  const auto t2 = Clock::now();
-
-  const double per_iter =
-      std::chrono::duration<double>(t1 - t0).count() / kIters;
-  const double per_fork =
-      std::chrono::duration<double>(t2 - t1).count() / kForks;
-  if (per_iter <= 0.0 || per_fork <= 0.0) {
-    g_calibrated.store(0, std::memory_order_relaxed);
-    return;
-  }
-  // Break-even model: a grain-balanced parallel_for over n spawns ~8P
-  // forks (default_grain), so serial wins while
-  //   n * per_iter < 8P * per_fork + (n / P) * per_iter.
-  // Solving for n and clamping gives the cutover. Real phase bodies are
-  // heavier than the trivial iteration, which biases the estimate high —
-  // acceptable, since serializing a medium frontier costs little span
-  // while forking a tiny one costs a lot of latency.
-  const double p = static_cast<double>(num_workers);
-  const double n_star = 8.0 * p * per_fork / (per_iter * (1.0 - 1.0 / p));
-  const std::size_t cut = static_cast<std::size_t>(
-      std::clamp(n_star, static_cast<double>(kMinCalibrated),
-                 static_cast<double>(kMaxCalibrated)));
-  g_calibrated.store(cut, std::memory_order_relaxed);
-}
-
-}  // namespace adaptive_detail
 
 }  // namespace parct::par

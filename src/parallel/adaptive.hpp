@@ -1,4 +1,4 @@
-// Size-adaptive execution for change propagation: below a tunable cutover
+// Size-adaptive execution for change propagation: below a fixed cutover
 // the frontier runs inline on the calling thread with zero scheduler
 // interaction (no task pushes, no grain computation, no steal traffic).
 //
@@ -6,15 +6,10 @@
 // per-round frontiers, where fork/join scaffolding dominates the actual
 // propagation work ("Parallel Batch-dynamic Trees via Change Propagation",
 // Acar et al. 2020, makes the same granularity-control observation). The
-// cutover resolves, in precedence order:
-//
-//   1. a programmatic override (set_serial_cutover — the CLI / harness
-//      `--serial-cutover N` plumbing),
-//   2. the PARCT_SERIAL_CUTOVER environment variable (strict numeric
-//      parse; 0 means always-parallel, SIZE_MAX means always-serial),
-//   3. the value auto-calibrated at pool init from a microbenchmark of
-//      fork2join overhead (scheduler::initialize), else
-//   4. a conservative built-in default.
+// cutover is a set_serial_cutover override when one is set (the CLI /
+// harness `--serial-cutover N` plumbing; 0 means always-parallel, SIZE_MAX
+// always-serial), else the constant 1024 — the same for every pool size
+// and every pool start.
 //
 // Race-detection contract: an active SP-bags session takes precedence over
 // the cutover — adaptive_for and AdaptivePhase then defer to the regular
@@ -38,25 +33,12 @@ namespace parct::par {
 /// run inline. 0 disables the fast path entirely; SIZE_MAX forces it.
 std::size_t serial_cutover();
 
-/// Pins the cutover, overriding the environment and the auto-calibrated
-/// value (highest precedence). Used by parct_cli / harness RunOptions.
+/// Pins the cutover in place of the built-in 1024. Used by parct_cli /
+/// harness RunOptions.
 void set_serial_cutover(std::size_t cutover);
 
-/// Drops a set_serial_cutover override; the env / calibrated / default
-/// resolution applies again.
+/// Drops a set_serial_cutover override; the built-in 1024 applies again.
 void clear_serial_cutover();
-
-namespace adaptive_detail {
-/// Re-derives the auto-calibrated cutover for a pool of `num_workers`
-/// workers by timing fork2join overhead against a trivial serial loop.
-/// Called by scheduler::initialize() after the pool is up; ~100 µs. A
-/// no-op (falls back to the built-in default) for 1-worker pools and under
-/// an active detection session.
-void recalibrate_serial_cutover(unsigned num_workers);
-
-/// The last calibrated value, or 0 if calibration has not run (tests).
-std::size_t calibrated_serial_cutover();
-}  // namespace adaptive_detail
 
 /// True if a phase over `n` elements should run inline on the calling
 /// thread. Never true under an active SP-bags session (the detector needs

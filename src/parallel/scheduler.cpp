@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "fault/fault_injection.hpp"
-#include "parallel/adaptive.hpp"
 #include "parallel/capability.hpp"
 #include "hashing/splitmix64.hpp"
 #include "parallel/chase_lev_deque.hpp"
@@ -258,12 +257,6 @@ void initialize(unsigned num_workers, std::uint64_t steal_seed) {
     next->threads.emplace_back(worker_loop, next, i);
   }
   g_pool.store(next, std::memory_order_release);
-  // Re-derive the adaptive serial cutover against this pool's real
-  // fork2join overhead (~100 µs microbenchmark; no-op for 1-worker pools).
-  // Runs after the store so the fork2joins below find the pool, and still
-  // under g_lifecycle_mu so no concurrent initialize/shutdown can destroy
-  // it mid-measurement.
-  adaptive_detail::recalibrate_serial_cutover(num_workers);
 }
 
 void shutdown() {

@@ -1,9 +1,8 @@
 // Scheduler observability: a snapshot API over the pool's runtime counters
 // (steals, parks, wake-ups, tasks executed per worker). Counters live on
 // the scheduler's slow paths (steal sweeps, parking) plus one relaxed
-// increment per executed task, so they are always compiled in; the
-// heavier per-phase algorithm telemetry is gated separately by the
-// PARCT_STATS build flag (see contraction/telemetry.hpp).
+// increment per executed task, so they are always compiled in, as is the
+// per-phase algorithm telemetry (see contraction/telemetry.hpp).
 #pragma once
 
 #include <cstdint>

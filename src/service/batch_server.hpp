@@ -222,7 +222,7 @@ struct ServiceStats {
   /// Validations decided by the O(n) exact path (rc/validate_batch.hpp).
   std::uint64_t validate_fallbacks = 0;
 
-  // Wall-clock accumulations (0 unless built with PARCT_STATS).
+  // Wall-clock accumulations.
   double epoch_seconds = 0;
   double query_seconds = 0;
   double update_seconds = 0;

@@ -255,7 +255,7 @@ RunResult run_trace_impl(const Trace& t, const RunOptions& opts) {
 }  // namespace
 
 // Applies RunOptions::serial_cutover for the duration of a run and
-// restores the ambient configuration (env / auto-calibration) afterwards.
+// restores the built-in value afterwards.
 class CutoverOverride {
  public:
   explicit CutoverOverride(const std::optional<std::size_t>& cutover)

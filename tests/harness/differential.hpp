@@ -45,11 +45,10 @@ struct RunOptions {
   bool race_detect = false;
   /// Override the adaptive serial cutover (par::set_serial_cutover) for
   /// the duration of the run: 0 pins every frontier to the parallel path,
-  /// SIZE_MAX pins the inline serial fast path, nullopt keeps the ambient
-  /// configuration (env / auto-calibration). The override is cleared when
-  /// the run returns. Used by the equivalence suites to prove both
-  /// execution paths produce identical structures (docs/PERFORMANCE.md
-  /// "Small-batch fast path").
+  /// SIZE_MAX pins the inline serial fast path, nullopt keeps the built-in
+  /// 1024. The override is cleared when the run returns. Used by the
+  /// equivalence suites to prove both execution paths produce identical
+  /// structures (docs/PERFORMANCE.md "Small-batch fast path").
   std::optional<std::size_t> serial_cutover;
 };
 

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "parallel/adaptive.hpp"
 #include "parallel/fork_join.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/scheduler.hpp"
@@ -82,6 +83,28 @@ TEST_F(SchedulerTest, ReinitializeChangesWorkerCount) {
   EXPECT_EQ(scheduler::num_workers(), 5u);
   scheduler::initialize(1);
   EXPECT_EQ(scheduler::num_workers(), 1u);
+}
+
+// The serial cutover is one constant: no pool size or pool start moves it,
+// and clearing an override returns to it.
+TEST_F(SchedulerTest, SerialCutoverIsFixedAcrossPoolStarts) {
+  for (const unsigned p : {1u, 2u, 4u}) {
+    scheduler::initialize(p);
+    EXPECT_EQ(serial_cutover(), 1024u) << "p = " << p;
+  }
+  for (int restart = 0; restart < 10; ++restart) {
+    scheduler::shutdown();
+    scheduler::initialize(restart % 2 == 0 ? 4 : 2);
+    EXPECT_EQ(serial_cutover(), 1024u) << "restart " << restart;
+  }
+  set_serial_cutover(0);
+  EXPECT_EQ(serial_cutover(), 0u);
+  clear_serial_cutover();
+  EXPECT_EQ(serial_cutover(), 1024u);
+  set_serial_cutover(~std::size_t{0});
+  EXPECT_EQ(serial_cutover(), ~std::size_t{0});
+  clear_serial_cutover();
+  EXPECT_EQ(serial_cutover(), 1024u);
 }
 
 TEST_F(SchedulerTest, ManySmallRegionsNoDeadlock) {

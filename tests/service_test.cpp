@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "contraction/construct.hpp"
-#include "contraction/telemetry.hpp"
 #include "durability/manager.hpp"
 #include "forest/generators.hpp"
 #include "forest/validation.hpp"
@@ -491,9 +490,7 @@ void expect_rejections_then_apply(BatchServer& server, forest::Forest& model,
   ASSERT_TRUE(server.step());
   ASSERT_EQ(fut.get().version, version + 1);
   EXPECT_EQ(server.stats().validate_fallbacks, fallbacks + 1);
-  if constexpr (contract::kStatsEnabled) {
-    EXPECT_GT(server.stats().validate_seconds, 0.0);
-  }
+  EXPECT_GT(server.stats().validate_seconds, 0.0);
 
   contract::ContractionForest scratch(model.capacity(), 4, coin_seed);
   contract::construct(scratch, model);
@@ -538,9 +535,7 @@ TEST_F(ServiceTest, InvalidBatchesAreRejectedByCategory) {
     auto fut = server.submit_update(std::move(u));
     ASSERT_TRUE(server.step());
     ASSERT_EQ(fut.get().version, 1u);
-    if constexpr (contract::kStatsEnabled) {
-      EXPECT_GT(server.stats().wal_seconds, 0.0);
-    }
+    EXPECT_GT(server.stats().wal_seconds, 0.0);
   }  // crash: no final checkpoint
   {
     SCOPED_TRACE("recovered server");

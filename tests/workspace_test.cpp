@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "alloc_probe.hpp"
 #include "contraction/construct.hpp"
 #include "contraction/contraction_forest.hpp"
 #include "contraction/dynamic_update.hpp"
@@ -146,9 +147,9 @@ TEST(WorkspaceTest, WorkerWorkspaceIsStablePerThread) {
 // ever grows. Verified for an insert/inverse-delete cycle, which restores
 // the structure exactly between iterations (differential-tested identity),
 // so every cycle re-executes the same allocation profile. The cutover is
-// pinned to 0 (always parallel): a calibrated cutover at or above the
-// batch's frontiers would run the whole update inline, acquire nothing,
-// and leave the pooled path this test is about unexercised.
+// pinned to 0 (always parallel): at the built-in 1024 the batch's smaller
+// rounds would run inline and leave part of the pooled path this test is
+// about unexercised.
 TEST(WorkspaceSteadyState, PropagateIsAllocationFreeAfterWarmup) {
   par::scheduler::initialize(4);
   par::set_serial_cutover(0);
@@ -212,6 +213,32 @@ TEST(WorkspaceSteadyState, SerialFastPathStaysAllocationFreeWarm) {
     EXPECT_GT(inv.chose_serial, 0u) << "cycle " << cycle;
     EXPECT_EQ(inv.ws_misses, 0u) << "cycle " << cycle;
     EXPECT_EQ(inv.ws_container_growths, 0u) << "cycle " << cycle;
+  }
+}
+
+// Stronger than the workspace counters above: a warmed m=1 update makes
+// no heap allocation of any kind on the calling thread — nothing per
+// round is recorded into a growing container.
+TEST(WorkspaceSteadyState, WarmSingleEdgeApplyAllocatesNothing) {
+  par::scheduler::initialize(1);
+  forest::Forest full = forest::build_tree(50000, 4, 0.6, 0xFA57ull);
+  auto [initial, batch] = forest::make_insert_batch(full, 1, 3);
+  forest::ChangeSet inverse;
+  inverse.remove_edges = batch.add_edges;
+
+  contract::ContractionForest c(full.capacity(), 4, 99);
+  contract::construct(c, initial);
+  contract::DynamicUpdater updater(c);
+  updater.apply(batch);  // warm-up cycle
+  updater.apply(inverse);
+
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    const test::Allocations fwd =
+        test::allocations_during([&] { updater.apply(batch); });
+    EXPECT_EQ(fwd.count, 0u) << "insert, cycle " << cycle;
+    const test::Allocations inv =
+        test::allocations_during([&] { updater.apply(inverse); });
+    EXPECT_EQ(inv.count, 0u) << "delete, cycle " << cycle;
   }
 }
 

@@ -93,7 +93,7 @@ fi
 if have clang++; then
   echo "== thread-safety (clang++ -Werror=thread-safety) =="
   TS_FLAGS=(-std=c++20 -fsyntax-only -I "$REPO/src"
-    -DPARCT_RACE_DETECT=1 -DPARCT_FAULT_INJECT=1 -DPARCT_STATS=1
+    -DPARCT_RACE_DETECT=1 -DPARCT_FAULT_INJECT=1
     -Wthread-safety -Wthread-safety-beta
     -Werror=thread-safety -Werror=thread-safety-beta)
   ts_ok=pass

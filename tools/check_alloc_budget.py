@@ -19,8 +19,9 @@ Besides plain numeric ceilings, a bench entry may carry:
                   rows). At least one row must match, so a sweep that
                   drops the gated configuration fails loudly.
 
-Timing fields are reported but never enforced — the budget gates only the
-allocation counters, which are deterministic. Exit status: 0 = all budgets
+Timing fields are reported but never enforced — the budget gates only
+deterministic counters (allocation counters, serial-path decisions, the
+serial cutover, snapshot buffers). Exit status: 0 = all budgets
 met, 1 = violation or missing bench, 2 = usage/parse error.
 """
 
@@ -114,8 +115,7 @@ def main(argv):
                       f"(advisory only)")
 
     if failures:
-        print(f"\n{failures} budget violation(s) — a steady-state heap "
-              f"allocation crept back into the hot path.")
+        print(f"\n{failures} budget violation(s); see the FAIL lines above.")
         return 1
     print("\nall allocation budgets met")
     return 0

@@ -80,9 +80,8 @@ int usage() {
                "frontiers of at\n"
                "                      most N run inline (0 = always "
                "parallel, max = always\n"
-               "                      serial); overrides "
-               "PARCT_SERIAL_CUTOVER and the\n"
-               "                      auto-calibrated default\n");
+               "                      serial); overrides the "
+               "built-in 1024\n");
   return 2;
 }
 
