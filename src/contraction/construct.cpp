@@ -1,8 +1,10 @@
 #include "contraction/construct.hpp"
 
 #include "analysis/annotations.hpp"
+#include "contraction/promote.hpp"
 #include "parallel/adaptive.hpp"
 #include "parallel/parallel_for.hpp"
+#include "primitives/counting.hpp"
 #include "primitives/pack.hpp"
 
 namespace parct::contract {
@@ -64,67 +66,20 @@ void randomized_contract(ContractionForest& c, std::uint32_t i,
   }
   phase_done(stats.phase_seconds[kPhaseAllocate]);
 
-  // Phase C: PromoteEdges (paper Fig. 2). Every round-(i+1) field has
-  // exactly one writer: a vertex's parent pointer is written by its
-  // surviving parent or by its compressing parent's promotion; child slot
-  // (p, j) is written by the surviving vertex owning j or by the vertex
-  // its compressing owner hands it to.
+  // Phase C: PromoteEdges (paper Fig. 2, contraction/promote.hpp), then
+  // the death rounds of the vertices that contract.
+  auto survives = [&](VertexId u) {
+    PARCT_SHADOW_READ(analysis::scratch_cell(
+        analysis::ShadowArray::kConstructStatus, u));
+    return status[u] == Kind::kSurvive;
+  };
   par::adaptive_for(0, n, [&](std::size_t k) {
     const VertexId v = live[k];
     PARCT_SHADOW_READ(analysis::scratch_cell(
         analysis::ShadowArray::kConstructStatus, v));
-    PARCT_SHADOW_READ_REC(c.shadow_id(), v, i);
-    const RoundRecord& r = c.record(i, v);
-    switch (status[v]) {
-      case Kind::kSurvive: {
-        if (hooks) hooks->on_vertex_persist(i, v);
-        PARCT_SHADOW_READ(analysis::scratch_cell(
-            analysis::ShadowArray::kConstructStatus, r.parent));
-        if (r.parent != v && status[r.parent] == Kind::kSurvive) {
-          PARCT_SHADOW_WRITE(analysis::record_child_cell(
-              c.shadow_id(), r.parent, i + 1, r.parent_slot));
-          c.record_mut(i + 1, r.parent).children[r.parent_slot] = v;
-          if (hooks) hooks->on_edge_persist(i, v, r.parent);
-        }
-        for (int s = 0; s < kMaxDegree; ++s) {
-          const VertexId u = r.children[s];
-          if (u == kNoVertex) continue;
-          PARCT_SHADOW_READ(analysis::scratch_cell(
-              analysis::ShadowArray::kConstructStatus, u));
-          if (status[u] != Kind::kSurvive) continue;
-          PARCT_SHADOW_WRITE(
-              analysis::record_parent_cell(c.shadow_id(), u, i + 1));
-          RoundRecord& ru = c.record_mut(i + 1, u);
-          ru.parent = v;
-          ru.parent_slot = static_cast<std::uint8_t>(s);
-        }
-        break;
-      }
-      case Kind::kFinalize:
-        c.set_duration(v, i + 1);
-        if (hooks) hooks->on_finalize(i, v);
-        break;
-      case Kind::kRake:
-        c.set_duration(v, i + 1);
-        if (hooks) hooks->on_rake(i, v, r.parent);
-        break;
-      case Kind::kCompress: {
-        const VertexId u = only_child(r.children);
-        // Both endpoints survive (the parent flipped tails, the child is
-        // not a leaf and flipped tails), so their records exist.
-        PARCT_SHADOW_WRITE(analysis::record_child_cell(
-            c.shadow_id(), r.parent, i + 1, r.parent_slot));
-        c.record_mut(i + 1, r.parent).children[r.parent_slot] = u;
-        PARCT_SHADOW_WRITE(
-            analysis::record_parent_cell(c.shadow_id(), u, i + 1));
-        RoundRecord& ru = c.record_mut(i + 1, u);
-        ru.parent = r.parent;
-        ru.parent_slot = r.parent_slot;
-        c.set_duration(v, i + 1);
-        if (hooks) hooks->on_compress(i, v, u, r.parent);
-        break;
-      }
-    }
+    const Kind kind = status[v];
+    promote_edges(c, i, v, kind, survives, hooks);
+    if (kind != Kind::kSurvive) c.set_duration(v, i + 1);
   });
   phase_done(stats.phase_seconds[kPhasePromoteEdges]);
 
@@ -173,6 +128,44 @@ ConstructStats construct(ContractionForest& c, const forest::Forest& f,
   stats.ws_container_growths = ws_delta.container_growths;
   stats.ws_container_bytes = ws_delta.container_bytes;
   return stats;
+}
+
+void replay(const ContractionForest& c, EventHooks& hooks) {
+  hooks.on_begin(c.capacity());
+  // Vertices by increasing duration: round i's live set is the suffix of
+  // those with duration > i.
+  const std::uint32_t rounds = c.num_rounds();
+  const std::vector<VertexId> order = prim::counting_sort_indices(
+      c.capacity(),
+      [&](std::size_t v) { return c.duration(static_cast<VertexId>(v)); },
+      rounds + 1);
+  std::size_t first = 0;
+  for (std::uint32_t i = 0; i < rounds; ++i) {
+    while (c.duration(order[first]) <= i) ++first;
+    // Each iteration reads only its own vertex's records, which no one
+    // writes here, and fires that vertex's events.
+    par::adaptive_for(first, order.size(), [&](std::size_t k) {
+      const VertexId v = order[k];
+      PARCT_SHADOW_READ_REC(c.shadow_id(), v, i);
+      const RoundRecord& r = c.record(i, v);
+      if (c.duration(v) > i + 1) {
+        hooks.on_vertex_persist(i, v);
+        // A survivor keeps its parent unless the parent compresses over
+        // it, which hands it the grandparent.
+        PARCT_SHADOW_READ(
+            analysis::record_parent_cell(c.shadow_id(), v, i + 1));
+        if (r.parent != v && c.record(i + 1, v).parent == r.parent) {
+          hooks.on_edge_persist(i, v, r.parent);
+        }
+      } else if (!children_empty(r.children)) {
+        hooks.on_compress(i, v, only_child(r.children), r.parent);
+      } else if (r.parent == v) {
+        hooks.on_finalize(i, v);
+      } else {
+        hooks.on_rake(i, v, r.parent);
+      }
+    });
+  }
 }
 
 }  // namespace parct::contract

@@ -69,4 +69,12 @@ ConstructStats construct(ContractionForest& c, const forest::Forest& f,
                          EventHooks* hooks = nullptr,
                          Workspace* workspace = nullptr);
 
+/// Fires, from the records of a constructed or updated `c` alone, every
+/// event `construct` would fire on its round-0 forest: on_begin, then round
+/// by round over the live set, on_vertex_persist and on_edge_persist for
+/// survivors and on_finalize, on_rake or on_compress at each death. Writes
+/// nothing to `c`. A value layer rebuilds by resetting its histories to
+/// their round-0 values and replaying. O(total records).
+void replay(const ContractionForest& c, EventHooks& hooks);
+
 }  // namespace parct::contract

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "analysis/annotations.hpp"
+#include "contraction/promote.hpp"
 #include "parallel/adaptive.hpp"
 #include "parallel/parallel_for.hpp"
 #include "primitives/pack.hpp"
@@ -61,6 +62,7 @@ void DynamicUpdater::grow_scratch() {
 UpdateStats DynamicUpdater::apply(const forest::ChangeSet& m,
                                   EventHooks* hooks) {
   UpdateStats stats;
+  touched_.clear();
   if (m.empty()) return stats;
   const StatsTimePoint t_begin = stats_now();
   const WorkspaceStats ws_begin = ws_.stats();
@@ -414,56 +416,15 @@ void DynamicUpdater::propagate(std::uint32_t i, EventHooks* hooks,
   });
   phase_done(stats.phase_seconds[kPhaseErase]);
 
-  // Phase D: re-promote edges for NL (PromoteEdges over the affected
-  // region and its fringe — the paper's "we also have to promote edges
-  // incident upon any neighbor of an affected vertex"). Unaffected NL
-  // members redo exactly what F did (Lemma 2), so their writes are
-  // idempotent re-executions.
+  // Phase D: re-promote edges for NL with the PromoteEdges construct runs
+  // (contraction/promote.hpp) — the paper's "we also have to promote edges
+  // incident upon any neighbor of an affected vertex". Unaffected NL
+  // members redo exactly what F did (Lemma 2), so their writes and events
+  // are idempotent re-executions.
+  auto survives_i = [&](VertexId u) { return survives(i, u); };
   par::adaptive_for(0, nl_.size(), [&](std::size_t k) {
     const VertexId v = nl_[k];
-    const Kind kind = kind_of(i, v);
-    PARCT_SHADOW_READ_REC(c_.shadow_id(), v, i);
-    const RoundRecord& r = c_.record(i, v);
-    switch (kind) {
-      case Kind::kSurvive: {
-        if (hooks) hooks->on_vertex_persist(i, v);
-        if (r.parent != v && survives(i, r.parent)) {
-          PARCT_SHADOW_WRITE(analysis::record_child_cell(
-              c_.shadow_id(), r.parent, i + 1, r.parent_slot));
-          c_.record_mut(i + 1, r.parent).children[r.parent_slot] = v;
-          if (hooks) hooks->on_edge_persist(i, v, r.parent);
-        }
-        for (int s = 0; s < kMaxDegree; ++s) {
-          const VertexId u = r.children[s];
-          if (u == kNoVertex || !survives(i, u)) continue;
-          PARCT_SHADOW_WRITE(
-              analysis::record_parent_cell(c_.shadow_id(), u, i + 1));
-          RoundRecord& ru = c_.record_mut(i + 1, u);
-          ru.parent = v;
-          ru.parent_slot = static_cast<std::uint8_t>(s);
-        }
-        break;
-      }
-      case Kind::kFinalize:
-        if (hooks) hooks->on_finalize(i, v);
-        break;
-      case Kind::kRake:
-        if (hooks) hooks->on_rake(i, v, r.parent);
-        break;
-      case Kind::kCompress: {
-        const VertexId u = only_child(r.children);
-        PARCT_SHADOW_WRITE(analysis::record_child_cell(
-            c_.shadow_id(), r.parent, i + 1, r.parent_slot));
-        c_.record_mut(i + 1, r.parent).children[r.parent_slot] = u;
-        PARCT_SHADOW_WRITE(
-            analysis::record_parent_cell(c_.shadow_id(), u, i + 1));
-        RoundRecord& ru = c_.record_mut(i + 1, u);
-        ru.parent = r.parent;
-        ru.parent_slot = r.parent_slot;
-        if (hooks) hooks->on_compress(i, v, u, r.parent);
-        break;
-      }
-    }
+    promote_edges(c_, i, v, kind_of(i, v), survives_i, hooks);
   });
   phase_done(stats.phase_seconds[kPhasePromote]);
 
@@ -549,35 +510,45 @@ void DynamicUpdater::propagate(std::uint32_t i, EventHooks* hooks,
   // Phase G: X bookkeeping (Fig. 3 line 18, Fig. 4 lines on X): members of
   // L that contract in G but are still alive in F join X with their G
   // death round; vertices now dead in both forests get their final
-  // durations. Sequential: O(|L| + |X|). xset_ is rebuilt *in place* — a
-  // write-index compaction of the survivors (the write cursor never passes
-  // the read cursor) followed by appends for L's contractors — so the
-  // buffer's capacity carries over round to round.
+  // durations and join touched_. Each L member that contracts in G and
+  // each V- vertex is finalized exactly once per apply(), here or in a
+  // later round from X. Sequential: O(|L| + |X|). xset_ is rebuilt *in
+  // place* — a write-index compaction of the survivors (the write cursor
+  // never passes the read cursor) followed by appends for L's contractors
+  // — so the buffer's capacity carries over round to round.
+  const std::size_t x_cap = xset_.capacity();
+  const std::size_t t_cap = touched_.capacity();
+  auto finalize = [&](VertexId v, std::uint32_t d) {
+    c_.set_duration(v, d);
+    c_.truncate_to_duration(v);
+    touched_.push_back(v);
+  };
   std::size_t xw = 0;
   for (std::size_t k = 0; k < xset_.size(); ++k) {
     const auto [v, j] = xset_[k];
     if (c_.duration(v) > i + 1) {
       xset_[xw++] = {v, j};
     } else {
-      c_.set_duration(v, j);
-      c_.truncate_to_duration(v);
+      finalize(v, j);
     }
   }
   xset_.resize(xw);
-  const std::size_t x_cap = xset_.capacity();
   for (std::size_t k = 0; k < nl_count; ++k) {
     const VertexId v = lset_[k];
     if (static_cast<Kind>(status_g_[v]) == Kind::kSurvive) continue;
     if (c_.duration(v) > i + 1) {
       xset_.push_back({v, i + 1});
     } else {
-      c_.set_duration(v, i + 1);
-      c_.truncate_to_duration(v);
+      finalize(v, i + 1);
     }
   }
   if (xset_.capacity() != x_cap) {
     ws_.note_container_growth((xset_.capacity() - x_cap) *
                               sizeof(xset_[0]));
+  }
+  if (touched_.capacity() != t_cap) {
+    ws_.note_container_growth((touched_.capacity() - t_cap) *
+                              sizeof(VertexId));
   }
 
   phase_done(stats.phase_seconds[kPhaseX]);

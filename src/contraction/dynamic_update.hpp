@@ -92,6 +92,15 @@ class DynamicUpdater {
   /// concurrent reads of the structure.
   UpdateStats apply(const forest::ChangeSet& m, EventHooks* hooks = nullptr);
 
+  /// The vertices whose contraction event (kind, death round, merge
+  /// target) the last apply() may have changed, each once: every vertex
+  /// of some round's L that contracts in the new forest (V+ included) and
+  /// every V- vertex — the ones whose duration Phase G finalizes. By
+  /// Lemma 2 any other vertex re-executes an unchanged event. This is the
+  /// refresh set of RCForest::refresh and TreeAggregate::prepare_update.
+  /// Reused across calls: valid until the next apply().
+  const std::vector<VertexId>& touched() const { return touched_; }
+
   ContractionForest& structure() { return c_; }
 
  private:
@@ -186,6 +195,7 @@ class DynamicUpdater {
   std::vector<VertexId> next_l_;  // next round's L (swapped into lset_)
   std::vector<VertexId> flipped_; // parents of leaf-status flips (round 0)
   std::vector<Edge> inserts_;     // E+ sorted by parent (initial phase)
+  std::vector<VertexId> touched_; // vertices finalized by Phase G
 };
 
 /// One-shot convenience wrapper (allocates O(n) scratch per call; prefer a

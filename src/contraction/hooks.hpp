@@ -98,13 +98,13 @@ class MultiHooks final : public EventHooks {
   std::vector<EventHooks*> sinks_;
 };
 
-/// Records every vertex whose contraction event was (re)computed during a
-/// construction or dynamic update — exactly the refresh set that
-/// RCForest::refresh and TreeAggregate::prepare_update need, except for
-/// the batch's removed vertices (V- fires no event; append those
-/// yourself). Entries may repeat across rounds of one update; consumers
-/// that need uniqueness deduplicate (refresh and prepare_update both
-/// tolerate duplicates).
+/// Records every vertex that fired a death event (finalize, rake,
+/// compress) during a construction or dynamic update. After an update
+/// this, plus the batch's V- (which fires no event), is a superset of
+/// DynamicUpdater::touched(), the refresh set the serving layer uses: it
+/// also lists the unaffected neighbours whose re-executed events did not
+/// change, about 1.5x as many vertices, through a mutex per event. Kept
+/// for the benchmark replica in perfbench/ and for tests.
 class TouchedRecorder final : public EventHooks {
  public:
   void on_finalize(std::uint32_t, VertexId v) override { note(v); }

@@ -95,13 +95,4 @@ class AdaptivePhase {
   bool serial_;
 };
 
-/// Function form: runs `body()` under an AdaptivePhase(frontier) and
-/// returns whether the serial path was chosen.
-template <typename Body>
-bool adaptive_phase(std::size_t frontier, Body&& body) {
-  AdaptivePhase phase(frontier);
-  body();
-  return phase.serial();
-}
-
 }  // namespace parct::par

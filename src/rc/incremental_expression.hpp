@@ -19,9 +19,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "contraction/construct.hpp"
 #include "contraction/contraction_forest.hpp"
 #include "contraction/hooks.hpp"
-#include "parallel/parallel_for.hpp"
 #include "rc/expression_eval.hpp"  // Op, ExprNode
 
 namespace parct::rc {
@@ -55,46 +55,14 @@ class IncrementalExpression final : public contract::EventHooks {
     }
   }
 
-  /// Full recomputation from the staged nodes (O(total records)); needed
-  /// after changing a leaf constant in place.
+  /// Full recomputation from the staged nodes, needed after changing a
+  /// leaf constant in place: empties acc and lin (their round-0 values are
+  /// the defaults at_acc / at_lin read) and replays the recorded rounds
+  /// through the hooks below (contract::replay). O(total records).
   void rebuild() {
-    grow(c_.capacity());
-    std::uint32_t max_d = 0;
-    for (VertexId v = 0; v < c_.capacity(); ++v) {
-      const std::uint32_t d = c_.duration(v);
-      max_d = std::max(max_d, d);
-      if (d == 0) continue;
-      acc_[v].assign(d, op_identity(nodes_[v].op));
-      lin_[v].assign(d, Lin{});
-    }
-    if (max_d == 0) return;
-    std::vector<std::vector<VertexId>> alive_at(max_d);
-    for (VertexId v = 0; v < c_.capacity(); ++v) {
-      for (std::uint32_t i = 1; i < c_.duration(v); ++i) {
-        alive_at[i].push_back(v);
-      }
-    }
-    for (std::uint32_t i = 1; i < max_d; ++i) {
-      // Within a round, vertices only read round-(i-1) values and write
-      // their own round-i slot: parallel-safe. The rebuild runs once per
-      // construction, and keying every slot would multiply detector
-      // traffic on the O(n log n) table for a disjointness the indices
-      // show.
-      par::parallel_for(0, alive_at[i].size(), [&](std::size_t k) {
-        const VertexId v = alive_at[i][k];
-        recompute_acc(i - 1, v);
-        const VertexId p_now = c_.record(i, v).parent;
-        if (p_now == v) return;
-        const VertexId p_before = c_.record(i - 1, v).parent;
-        if (p_before == p_now) {
-          // parct-lint: allow(shadow-write) reason: vertex-own round-i slot
-          lin_[v][i] = at_lin(v, i - 1);
-        } else {
-          // parct-lint: allow(shadow-write) reason: vertex-own round-i slot
-          lin_[v][i] = composed(p_before, v, i - 1);
-        }
-      });
-    }
+    for (auto& h : acc_) h.clear();
+    for (auto& h : lin_) h.clear();
+    contract::replay(c_, *this);
   }
 
   // --- EventHooks -------------------------------------------------------

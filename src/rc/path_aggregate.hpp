@@ -20,8 +20,9 @@
 // re-executed region, so the value layer stays consistent under batched
 // edge/vertex changes at no extra asymptotic cost.
 //
-// Weight changes: a weight belongs to a round-0 edge. Stage weights for
-// edges *inserted by a batch* with stage_edge_weight() BEFORE apply().
+// Weight changes: a weight belongs to a round-0 edge (an edge never staged
+// weighs the identity). Stage weights for edges *inserted by a batch*
+// with stage_edge_weight() BEFORE apply().
 // To change the weight of an existing edge, delete and re-insert it in a
 // batch (the re-execution repropagates values), or call rebuild().
 #pragma once
@@ -29,9 +30,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "contraction/construct.hpp"
 #include "contraction/contraction_forest.hpp"
 #include "contraction/hooks.hpp"
-#include "parallel/parallel_for.hpp"
 
 namespace parct::rc {
 
@@ -55,7 +56,7 @@ class PathAggregate final : public contract::EventHooks {
     h[0] = w;
   }
 
-  const T& edge_weight(VertexId v) const { return vals_[v][0]; }
+  const T& edge_weight(VertexId v) const { return at(v, 0); }
 
   /// The structure the aggregate is bound to (validity checks in the batch
   /// query layer) and the monoid identity (the defined result for invalid
@@ -72,60 +73,23 @@ class PathAggregate final : public contract::EventHooks {
       const std::uint32_t d = c_.duration(x);
       const contract::RoundRecord& last = c_.record(d - 1, x);
       if (last.parent == x) break;  // finalize: reached the root
-      acc = combine_(acc, vals_[x][d - 1]);
+      acc = combine_(acc, at(x, d - 1));
       x = last.parent;
     }
     return acc;
   }
 
-  /// Recomputes every per-round value from the round-0 weights by
-  /// replaying the recorded rounds. O(total records).
+  /// Recomputes every per-round value from the round-0 weights: cuts
+  /// each history back to its staged weight and replays the recorded
+  /// rounds through the hooks below (contract::replay). O(total records).
   void rebuild() {
-    const std::size_t cap = c_.capacity();
-    vals_.resize(cap);
-    std::uint32_t max_d = 0;
-    for (VertexId v = 0; v < cap; ++v) {
-      const std::uint32_t d = c_.duration(v);
-      max_d = std::max(max_d, d);
-      auto& h = vals_[v];
-      if (d == 0) continue;
-      const T base = h.empty() ? identity_ : h[0];
-      h.assign(d, identity_);
-      h[0] = base;
+    for (auto& h : vals_) {
+      if (h.size() > 1) h.erase(h.begin() + 1, h.end());
     }
-    if (max_d == 0) return;
-    // Per-round lists of vertices alive in that round (O(total records)).
-    std::vector<std::vector<VertexId>> alive_at(max_d);
-    for (VertexId v = 0; v < cap; ++v) {
-      for (std::uint32_t i = 1; i < c_.duration(v); ++i) {
-        alive_at[i].push_back(v);
-      }
-    }
-    for (std::uint32_t i = 1; i < max_d; ++i) {
-      // Within a round, vertices only read round-(i-1) values and write
-      // their own round-i slot: parallel-safe. The rebuild runs once per
-      // construction, and keying every slot would multiply detector
-      // traffic on the O(n log n) table for a disjointness the indices
-      // show.
-      par::parallel_for(0, alive_at[i].size(), [&](std::size_t k) {
-        const VertexId v = alive_at[i][k];
-        const VertexId p_now = c_.record(i, v).parent;
-        if (p_now == v) return;  // root: no edge value
-        const VertexId p_before = c_.record(i - 1, v).parent;
-        if (p_before == p_now) {
-          // parct-lint: allow(shadow-write) reason: vertex-own round-i slot
-          vals_[v][i] = vals_[v][i - 1];
-        } else {
-          // p_before compressed between v and p_now in round i-1.
-          // parct-lint: allow(shadow-write) reason: vertex-own round-i slot
-          vals_[v][i] =
-              combine_(vals_[v][i - 1], vals_[p_before][i - 1]);
-        }
-      });
-    }
+    contract::replay(c_, *this);
   }
 
-  // --- EventHooks (called by construct / DynamicUpdater) ---------------
+  // --- EventHooks (called by construct / DynamicUpdater / replay) -------
 
   void on_begin(std::size_t capacity) override {
     if (vals_.size() < capacity) vals_.resize(capacity);
@@ -140,11 +104,15 @@ class PathAggregate final : public contract::EventHooks {
   void on_compress(std::uint32_t round, VertexId m, VertexId child,
                    VertexId /*parent*/) override {
     ensure(child, round + 1);
-    vals_[child][round + 1] =
-        combine_(vals_[child][round], vals_[m][round]);
+    vals_[child][round + 1] = combine_(vals_[child][round], at(m, round));
   }
 
  private:
+  // Histories grow lazily; a missing slot reads as identity (an edge
+  // whose weight was never staged).
+  const T& at(VertexId v, std::uint32_t i) const {
+    return i < vals_[v].size() ? vals_[v][i] : identity_;
+  }
   void ensure(VertexId v, std::uint32_t round) {
     // The outer vector was sized by on_begin; growing the per-vertex
     // history here is single-writer (see the hook contract).

@@ -50,9 +50,10 @@ void RCForest::rebuild() {
   });
 }
 
-// refresh() is deliberately NOT shadow-annotated: touched-vertex lists may
-// repeat a vertex across rounds of one update, so two iterations can write
-// the same events_[v] cell. The writes are idempotent (derive is a pure
+// refresh() is deliberately NOT shadow-annotated: a caller's list may
+// repeat a vertex (DynamicUpdater::touched() does not, but any superset of
+// it is a valid argument), so two iterations can write the same
+// events_[v] cell. The writes are idempotent (derive is a pure
 // function of the current records), but the SP-bags detector has no
 // idempotence notion and would report the duplicate as a race. The write
 // sits inside derive(), which the shadow-write lint's line scan does not

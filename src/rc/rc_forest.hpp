@@ -42,10 +42,9 @@ class RCForest {
   /// Re-derives every vertex's event. O(capacity).
   void rebuild();
 
-  /// Re-derives events of `vertices` only — pass the vertices touched by a
-  /// dynamic update (collected via EventHooks contraction events) plus any
-  /// vertices removed by the batch (V-; they fire no event), for work
-  /// proportional to the affected region.
+  /// Re-derives events of `vertices` only — pass a dynamic update's
+  /// DynamicUpdater::touched(), for work proportional to the affected
+  /// region. Any superset works too (duplicates included).
   void refresh(const std::vector<VertexId>& vertices);
 
   const contract::ContractionForest& structure() const { return c_; }

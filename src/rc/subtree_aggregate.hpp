@@ -29,9 +29,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "contraction/construct.hpp"
 #include "contraction/contraction_forest.hpp"
 #include "contraction/hooks.hpp"
-#include "parallel/parallel_for.hpp"
 
 namespace parct::rc {
 
@@ -85,65 +85,16 @@ class SubtreeAggregate final : public contract::EventHooks {
     }
   }
 
-  /// Recomputes both value histories from the round-0 weights by
-  /// replaying the recorded rounds. O(total records).
+  /// Recomputes both value histories from the round-0 weights: cuts S
+  /// back to the staged weights and C to empty (identity), then replays
+  /// the recorded rounds through the hooks below (contract::replay).
+  /// O(total records).
   void rebuild() {
-    const std::size_t cap = c_.capacity();
-    s_.resize(cap);
-    carry_.resize(cap);
-    std::uint32_t max_d = 0;
-    for (VertexId v = 0; v < cap; ++v) {
-      const std::uint32_t d = c_.duration(v);
-      max_d = std::max(max_d, d);
-      if (d == 0) continue;
-      const T base = s_[v].empty() ? identity_ : s_[v][0];
-      s_[v].assign(d, identity_);
-      s_[v][0] = base;
-      carry_[v].assign(d, identity_);
+    for (auto& h : s_) {
+      if (h.size() > 1) h.erase(h.begin() + 1, h.end());
     }
-    if (max_d == 0) return;
-    std::vector<std::vector<VertexId>> alive_at(max_d);
-    for (VertexId v = 0; v < cap; ++v) {
-      for (std::uint32_t i = 1; i < c_.duration(v); ++i) {
-        alive_at[i].push_back(v);
-      }
-    }
-    for (std::uint32_t i = 1; i < max_d; ++i) {
-      // Within a round, vertices only read round-(i-1) values and write
-      // their own round-i slot: parallel-safe. The rebuild runs once per
-      // construction, and keying every slot would multiply detector
-      // traffic on the O(n log n) table for a disjointness the indices
-      // show.
-      par::parallel_for(0, alive_at[i].size(), [&](std::size_t k) {
-        const VertexId v = alive_at[i][k];
-        // S: fold children that raked in round i-1.
-        T acc = s_[v][i - 1];
-        for (VertexId ch : c_.record(i - 1, v).children) {
-          if (ch == kNoVertex) continue;
-          if (children_empty(c_.record(i - 1, ch).children) &&
-              c_.duration(ch) == i) {
-            acc = combine_(acc, combine_(s_[ch][i - 1],
-                                         carry_[ch][i - 1]));
-          }
-        }
-        // parct-lint: allow(shadow-write) reason: vertex-own round-i slot
-        s_[v][i] = acc;
-        // C: copy, or fold a compressed parent in.
-        const VertexId p_now = c_.record(i, v).parent;
-        if (p_now == v) return;
-        const VertexId p_before = c_.record(i - 1, v).parent;
-        if (p_before == p_now) {
-          // parct-lint: allow(shadow-write) reason: vertex-own round-i slot
-          carry_[v][i] = carry_[v][i - 1];
-        } else {
-          // parct-lint: allow(shadow-write) reason: vertex-own round-i slot
-          carry_[v][i] =
-              combine_(carry_[v][i - 1],
-                       combine_(s_[p_before][i - 1],
-                                carry_[p_before][i - 1]));
-        }
-      });
-    }
+    for (auto& h : carry_) h.clear();
+    contract::replay(c_, *this);
   }
 
   // --- EventHooks -------------------------------------------------------

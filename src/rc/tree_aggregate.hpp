@@ -6,9 +6,9 @@
 // updates by pushing a delta up the representative chain.
 //
 // Structural updates: after a DynamicUpdater::apply, the accumulators are
-// repaired *incrementally* via prepare_update/apply_update with the set of
-// touched vertices (collected through the contraction event hooks) — work
-// proportional to the affected region times O(log n), not O(n). The full
+// repaired *incrementally* via prepare_update/apply_update with the
+// updater's touched() set — work proportional to the affected region
+// times O(log n), not O(n). The full
 // rebuild() remains as the from-scratch oracle and is what the
 // incremental path is tested against.
 #pragma once
@@ -79,8 +79,8 @@ class TreeAggregate {
 
   // --- structural updates ----------------------------------------------
 
-  /// First half of an incremental repair. Call with the touched-vertex set
-  /// of a DynamicUpdater::apply (event-fired vertices plus the batch's V-)
+  /// First half of an incremental repair. Call with the
+  /// DynamicUpdater::touched() set of an apply (or a superset)
   /// BEFORE RCForest::refresh overwrites the events: the old
   /// representatives of the touched vertices are the seeds whose
   /// accumulators lose contributions.

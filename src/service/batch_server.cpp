@@ -400,7 +400,6 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
   std::uint64_t retries = 0;
   double update_secs = 0;
   if (update) {
-    touched_.clear();
     const auto t0 = contract::stats_now();
     for (unsigned attempt = 0;; ++attempt) {
       try {
@@ -411,7 +410,7 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
         if (PARCT_FAULT_POINT(fault::Site::kEpochApply)) {
           throw fault::InjectedFault(fault::Site::kEpochApply);
         }
-        ustats = updater_.apply(update->request.batch, &touched_);
+        ustats = updater_.apply(update->request.batch);
         break;
       } catch (const fault::InjectedFault&) {
         if (attempt >= cfg_.max_epoch_retries) {
@@ -469,15 +468,13 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
   double publish_secs = 0;
   if (update) {
     const auto t_p = contract::stats_now();
-    // 6. Repair the derived layers over the affected region: the touched
-    //    set is the event-fired vertices plus the batch's V- (which fires
-    //    no event). prepare_update must see the pre-refresh events (old
-    //    representatives), so it runs before refresh.
-    std::vector<VertexId>& tv = touched_.vertices();
-    tv.insert(tv.end(), update->request.batch.remove_vertices.begin(),
-              update->request.batch.remove_vertices.end());
-    agg_.prepare_update(tv);
-    rcf_.refresh(tv);
+    // 6. Repair the derived layers over the affected region: the vertices
+    //    whose events apply() may have changed, V- included
+    //    (DynamicUpdater::touched). prepare_update must see the
+    //    pre-refresh events (old representatives), so it runs before
+    //    refresh.
+    agg_.prepare_update(updater_.touched());
+    rcf_.refresh(updater_.touched());
     agg_.apply_update();
     // The ids this version changes, for the snapshot patch: the repair
     // region (which holds every refreshed event and every rewritten

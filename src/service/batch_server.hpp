@@ -11,8 +11,8 @@
 //   1. pins the current Snapshot (version v),
 //   2. validates the update batch, propagates it with
 //      DynamicUpdater::apply, appends it to the WAL, repairs the derived
-//      layers incrementally (RCForest::refresh +
-//      TreeAggregate::prepare_update/apply_update over the touched set),
+//      layers incrementally over DynamicUpdater::touched()
+//      (RCForest::refresh + TreeAggregate::prepare_update/apply_update),
 //      builds version v+1 into a recycled snapshot buffer, publishes it,
 //      and resolves the update's future,
 //   3. fans the epoch's queries out with parallel_for against the snapshot
@@ -46,7 +46,6 @@
 
 #include "contraction/contraction_forest.hpp"
 #include "contraction/dynamic_update.hpp"
-#include "contraction/hooks.hpp"
 #include "forest/change_set.hpp"
 #include "parallel/capability.hpp"
 #include "rc/rc_forest.hpp"
@@ -385,9 +384,7 @@ class BatchServer {
   rc::TreeAggregate<Weight> agg_;
   SnapshotStore store_;
   // Update scratch, reused across epochs so the update path allocates
-  // nothing in steady state: the contraction events apply() fires, and
-  // the ids the published version changed.
-  contract::TouchedRecorder touched_;
+  // nothing in steady state: the ids the published version changed.
   std::vector<VertexId> changed_;
   ServiceConfig cfg_;
   std::uint64_t version_ = 0;  // engine/step thread only

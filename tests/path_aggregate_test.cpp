@@ -58,6 +58,24 @@ TEST(PathAggregate, ChainSumsAndRoots) {
   }
 }
 
+// An edge whose weight was never staged weighs the identity, through
+// construction and through rebuild() alike.
+TEST(PathAggregate, UnstagedEdgesWeighIdentity) {
+  const std::size_t n = 2000;
+  Forest f = forest::build_chain(n);
+  ContractionForest c(n, 4, 7);
+  PathSum agg(c, 0);
+  for (VertexId v = 2; v < n; v += 2) agg.stage_edge_weight(v, 1);
+  contract::construct(c, f, &agg);
+  for (VertexId v = 0; v < n; ++v) {
+    ASSERT_EQ(agg.path_to_root(v), static_cast<long>(v / 2)) << "vertex " << v;
+  }
+  agg.rebuild();
+  for (VertexId v = 0; v < n; ++v) {
+    ASSERT_EQ(agg.path_to_root(v), static_cast<long>(v / 2)) << "vertex " << v;
+  }
+}
+
 TEST(PathAggregate, RandomTreeMatchesBruteForce) {
   const std::size_t n = 3000;
   Forest f = forest::build_tree(n, 4, 0.5, 11);

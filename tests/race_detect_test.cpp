@@ -245,6 +245,19 @@ TEST_F(RaceDetectTest, ConstructIsRaceFree) {
   EXPECT_GT(session.cells_tracked(), 0u);
 }
 
+// Replay only reads the records; its live-set loop and compaction take
+// the parallel shape under the session like construct's.
+TEST_F(RaceDetectTest, ReplayIsRaceFree) {
+  forest::Forest f = forest::build_tree(300, 4, 0.5, 5, 20);
+  contract::ContractionForest c(f.capacity(), 4, 5);
+  contract::construct(c, f);
+  Session session(OnRace::kThrow);
+  contract::EventHooks no_hooks;
+  contract::replay(c, no_hooks);
+  EXPECT_EQ(session.races_detected(), 0u);
+  EXPECT_GT(session.cells_tracked(), 0u);
+}
+
 TEST_F(RaceDetectTest, SingleUpdateIsRaceFree) {
   Session session(OnRace::kThrow);
   forest::Forest f = forest::build_tree(400, 4, 0.6, 11, 0);

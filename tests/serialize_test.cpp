@@ -14,7 +14,6 @@
 #include "alloc_probe.hpp"
 #include "contraction/construct.hpp"
 #include "contraction/dynamic_update.hpp"
-#include "contraction/hooks.hpp"
 #include "contraction/serialize.hpp"
 #include "contraction/validate.hpp"
 #include "forest/generators.hpp"
@@ -159,13 +158,9 @@ TEST(SerializeAggregate, LoadedPairRepairsIncrementally) {
     cur = forest::apply_change_set(cur, m);
     auto apply_and_repair = [&m](DynamicUpdater& u, rc::RCForest& r,
                                  rc::TreeAggregate<long>& a) {
-      contract::TouchedRecorder touched;
-      u.apply(m, &touched);
-      std::vector<VertexId>& tv = touched.vertices();
-      tv.insert(tv.end(), m.remove_vertices.begin(),
-                m.remove_vertices.end());
-      a.prepare_update(tv);
-      r.refresh(tv);
+      u.apply(m);
+      a.prepare_update(u.touched());
+      r.refresh(u.touched());
       a.apply_update();
     };
     apply_and_repair(upd, rcf, agg);

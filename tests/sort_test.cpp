@@ -44,20 +44,23 @@ TEST_P(SortTest, AlreadySortedAndReversed) {
 
 TEST_P(SortTest, StabilityOnKeyedPairs) {
   // Sort pairs by first only; seconds must stay in input order per key.
-  const std::size_t n = 60000;
-  hashing::SplitMix64 rng(7);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> v(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    v[i] = {static_cast<std::uint32_t>(rng.next_below(100)),
-            static_cast<std::uint32_t>(i)};
-  }
-  parallel_sort(v, [](const auto& a, const auto& b) {
-    return a.first < b.first;
-  });
-  for (std::size_t i = 1; i < n; ++i) {
-    ASSERT_LE(v[i - 1].first, v[i].first);
-    if (v[i - 1].first == v[i].first) {
-      ASSERT_LT(v[i - 1].second, v[i].second);
+  // The sizes straddle the sequential sort's 16-element insertion runs
+  // and the 4096-element parallel cutover.
+  for (std::size_t n : {5, 17, 333, 4096, 60000}) {
+    hashing::SplitMix64 rng(7 + n);
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> v(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      v[i] = {static_cast<std::uint32_t>(rng.next_below(100)),
+              static_cast<std::uint32_t>(i)};
+    }
+    parallel_sort(v, [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+    for (std::size_t i = 1; i < n; ++i) {
+      ASSERT_LE(v[i - 1].first, v[i].first) << "n=" << n;
+      if (v[i - 1].first == v[i].first) {
+        ASSERT_LT(v[i - 1].second, v[i].second) << "n=" << n;
+      }
     }
   }
 }

@@ -9,7 +9,6 @@
 
 #include "contraction/construct.hpp"
 #include "contraction/dynamic_update.hpp"
-#include "contraction/hooks.hpp"
 #include "forest/generators.hpp"
 #include "forest/tree_builder.hpp"
 #include "forest/validation.hpp"
@@ -21,14 +20,12 @@ namespace parct::rc {
 namespace {
 
 // Repairs the derived layers after an update the way the serving layer
-// does: old representatives captured before refresh, V- appended to the
-// event-fired touched set.
+// does: over the updater's touched() set, old representatives captured
+// before refresh.
 void repair(RCForest& rcf, TreeAggregate<long>& agg,
-            contract::TouchedRecorder& touched, const forest::ChangeSet& m) {
-  std::vector<VertexId>& tv = touched.vertices();
-  tv.insert(tv.end(), m.remove_vertices.begin(), m.remove_vertices.end());
-  agg.prepare_update(tv);
-  rcf.refresh(tv);
+            const contract::DynamicUpdater& updater) {
+  agg.prepare_update(updater.touched());
+  rcf.refresh(updater.touched());
   agg.apply_update();
 }
 
@@ -77,10 +74,9 @@ TEST(TreeAggregateIncremental, DeleteBatchesMatchRebuild) {
   forest::Forest cur = f;
   for (int step = 0; step < 8; ++step) {
     forest::ChangeSet m = forest::make_delete_batch(cur, 6, 300 + step);
-    contract::TouchedRecorder touched;
-    updater.apply(m, &touched);
+    updater.apply(m);
     cur = forest::apply_change_set(cur, m);
-    repair(rcf, agg, touched, m);
+    repair(rcf, agg, updater);
     expect_matches_rebuild(rcf, agg);
     expect_matches_forest(cur, rcf, agg, w);
   }
@@ -104,10 +100,9 @@ TEST(TreeAggregateIncremental, InsertBatchesMatchRebuild) {
     (i % 2 ? second : first).add_edges.push_back(m0.add_edges[i]);
   }
   for (const forest::ChangeSet* m : {&first, &second}) {
-    contract::TouchedRecorder touched;
-    updater.apply(*m, &touched);
+    updater.apply(*m);
     cur = forest::apply_change_set(cur, *m);
-    repair(rcf, agg, touched, *m);
+    repair(rcf, agg, updater);
     expect_matches_rebuild(rcf, agg);
     expect_matches_forest(cur, rcf, agg, w);
   }
@@ -128,10 +123,9 @@ TEST(TreeAggregateIncremental, VertexChurnMatchesRebuild) {
   for (int step = 0; step < 4; ++step) {
     forest::ChangeSet m =
         forest::make_vertex_batch(cur, /*k_add=*/6, /*k_del=*/5, 40 + step);
-    contract::TouchedRecorder touched;
-    updater.apply(m, &touched);
+    updater.apply(m);
     cur = forest::apply_change_set(cur, m);
-    repair(rcf, agg, touched, m);
+    repair(rcf, agg, updater);
     // Weights of churned ids: removed ids drop to 0, fresh ids get 3 —
     // ids can leave and re-enter across batches (the acc == weight
     // invariant for absent vertices).
@@ -167,10 +161,9 @@ TEST(TreeAggregateIncremental, SetWeightBetweenStructuralUpdates) {
     w[v] = nw;
 
     forest::ChangeSet m = forest::make_delete_batch(cur, 3, 500 + step);
-    contract::TouchedRecorder touched;
-    updater.apply(m, &touched);
+    updater.apply(m);
     cur = forest::apply_change_set(cur, m);
-    repair(rcf, agg, touched, m);
+    repair(rcf, agg, updater);
     expect_matches_rebuild(rcf, agg);
     expect_matches_forest(cur, rcf, agg, w);
   }
@@ -191,9 +184,8 @@ TEST(TreeAggregateIncremental, RepairedRegionIsLocal) {
 
   forest::ChangeSet m;
   m.del_edge(n / 2, n / 2 - 1);  // build_chain: parent of v is v-1
-  contract::TouchedRecorder touched;
-  updater.apply(m, &touched);
-  repair(rcf, agg, touched, m);
+  updater.apply(m);
+  repair(rcf, agg, updater);
 
   EXPECT_LT(agg.last_region().size(), n / 8)
       << "single-edge repair touched a large fraction of the forest";

@@ -216,29 +216,32 @@ TEST(WorkspaceSteadyState, SerialFastPathStaysAllocationFreeWarm) {
   }
 }
 
-// Stronger than the workspace counters above: a warmed m=1 update makes
-// no heap allocation of any kind on the calling thread — nothing per
-// round is recorded into a growing container.
+// Stronger than the workspace counters above: a warmed m = 1, 10 or 100
+// update makes no heap allocation of any kind on the calling thread —
+// nothing per round is recorded into a growing container, and the insert
+// batch's sort by parent merges through a leased buffer.
 TEST(WorkspaceSteadyState, WarmSingleEdgeApplyAllocatesNothing) {
   par::scheduler::initialize(1);
   forest::Forest full = forest::build_tree(50000, 4, 0.6, 0xFA57ull);
-  auto [initial, batch] = forest::make_insert_batch(full, 1, 3);
-  forest::ChangeSet inverse;
-  inverse.remove_edges = batch.add_edges;
+  for (const std::size_t m : {1, 10, 100}) {
+    auto [initial, batch] = forest::make_insert_batch(full, m, 3);
+    forest::ChangeSet inverse;
+    inverse.remove_edges = batch.add_edges;
 
-  contract::ContractionForest c(full.capacity(), 4, 99);
-  contract::construct(c, initial);
-  contract::DynamicUpdater updater(c);
-  updater.apply(batch);  // warm-up cycle
-  updater.apply(inverse);
+    contract::ContractionForest c(full.capacity(), 4, 99);
+    contract::construct(c, initial);
+    contract::DynamicUpdater updater(c);
+    updater.apply(batch);  // warm-up cycle
+    updater.apply(inverse);
 
-  for (int cycle = 0; cycle < 4; ++cycle) {
-    const test::Allocations fwd =
-        test::allocations_during([&] { updater.apply(batch); });
-    EXPECT_EQ(fwd.count, 0u) << "insert, cycle " << cycle;
-    const test::Allocations inv =
-        test::allocations_during([&] { updater.apply(inverse); });
-    EXPECT_EQ(inv.count, 0u) << "delete, cycle " << cycle;
+    for (int cycle = 0; cycle < 4; ++cycle) {
+      const test::Allocations fwd =
+          test::allocations_during([&] { updater.apply(batch); });
+      EXPECT_EQ(fwd.count, 0u) << "m = " << m << ", insert, cycle " << cycle;
+      const test::Allocations inv =
+          test::allocations_during([&] { updater.apply(inverse); });
+      EXPECT_EQ(inv.count, 0u) << "m = " << m << ", delete, cycle " << cycle;
+    }
   }
 }
 
