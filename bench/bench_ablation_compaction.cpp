@@ -11,6 +11,7 @@
 #include "hashing/splitmix64.hpp"
 #include "parallel/scheduler.hpp"
 #include "primitives/pack.hpp"
+#include "primitives/workspace.hpp"
 
 using namespace parct;
 
@@ -29,9 +30,13 @@ void BM_PackSerial(benchmark::State& state) {
   par::scheduler::initialize(1);  // serial fast path inside pack
   auto flags = inputs(static_cast<std::size_t>(state.range(0)),
                       static_cast<std::uint32_t>(state.range(1)));
+  Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        prim::pack(flags, [&](std::size_t i) { return flags[i] != 0; }));
+    std::vector<std::uint32_t> out;  // fresh output: timed with its allocation
+    prim::pack_into(flags, [&](std::size_t i) { return flags[i] != 0; }, out,
+                    ws);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -44,9 +49,13 @@ void BM_PackParallelPrefixSums(benchmark::State& state) {
   par::scheduler::initialize(4);
   auto flags = inputs(static_cast<std::size_t>(state.range(0)),
                       static_cast<std::uint32_t>(state.range(1)));
+  Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        prim::pack(flags, [&](std::size_t i) { return flags[i] != 0; }));
+    std::vector<std::uint32_t> out;  // fresh output: timed with its allocation
+    prim::pack_into(flags, [&](std::size_t i) { return flags[i] != 0; }, out,
+                    ws);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

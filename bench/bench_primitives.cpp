@@ -1,24 +1,23 @@
-// google-benchmark microbenchmarks for the parallel primitives substrate:
-// prefix sums, compaction and tabulate throughput at several worker counts,
-// both the classic allocating signatures and the destination-passing
-// (_into) variants that reuse a Workspace.
+// google-benchmark microbenchmarks for the parallel primitives the
+// algorithms run: compaction (pack_into) and the stable merge sort
+// (parallel_sort_into) at several worker counts, each reusing a Workspace.
 //
 // After the benchmarks, main() runs a steady-state allocation probe: warm a
 // Workspace, then count pool misses and destination growths over many hot
-// pack_into/exclusive_scan_into iterations. The counts are emitted as a
+// pack_into/parallel_sort_into iterations. The counts are emitted as a
 // "bench_primitives_alloc" StatsDump line (PARCT_STATS_JSON) and checked by
 // the CI perf-smoke job against bench/alloc_budget.json.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <functional>
 #include <vector>
 
 #include "bench/common/bench_util.hpp"
 #include "hashing/splitmix64.hpp"
 #include "parallel/scheduler.hpp"
 #include "primitives/pack.hpp"
-#include "primitives/scan.hpp"
-#include "primitives/sequence_ops.hpp"
+#include "primitives/sort.hpp"
 #include "primitives/workspace.hpp"
 
 using namespace parct;
@@ -31,54 +30,6 @@ std::vector<std::uint32_t> inputs(std::size_t n) {
   for (auto& x : v) x = static_cast<std::uint32_t>(rng.next_below(100));
   return v;
 }
-
-void BM_ExclusiveScan(benchmark::State& state) {
-  par::scheduler::initialize(static_cast<unsigned>(state.range(1)));
-  auto in = inputs(static_cast<std::size_t>(state.range(0)));
-  std::vector<std::uint32_t> out(in.size());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        prim::exclusive_scan(in.data(), out.data(), in.size()));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ExclusiveScan)
-    ->Args({1 << 16, 1})
-    ->Args({1 << 16, 4})
-    ->Args({1 << 20, 1})
-    ->Args({1 << 20, 4});
-
-void BM_ExclusiveScanInto(benchmark::State& state) {
-  par::scheduler::initialize(static_cast<unsigned>(state.range(1)));
-  auto in = inputs(static_cast<std::size_t>(state.range(0)));
-  std::vector<std::uint32_t> out(in.size());
-  Workspace ws;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        prim::exclusive_scan_into(in.data(), out.data(), in.size(), ws));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ExclusiveScanInto)
-    ->Args({1 << 16, 1})
-    ->Args({1 << 16, 4})
-    ->Args({1 << 20, 1})
-    ->Args({1 << 20, 4});
-
-void BM_Pack(benchmark::State& state) {
-  par::scheduler::initialize(static_cast<unsigned>(state.range(1)));
-  auto in = inputs(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        prim::pack(in, [&](std::size_t i) { return (in[i] & 1) == 0; }));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_Pack)
-    ->Args({1 << 16, 1})
-    ->Args({1 << 16, 4})
-    ->Args({1 << 20, 1})
-    ->Args({1 << 20, 4});
 
 void BM_PackInto(benchmark::State& state) {
   par::scheduler::initialize(static_cast<unsigned>(state.range(1)));
@@ -98,27 +49,26 @@ BENCHMARK(BM_PackInto)
     ->Args({1 << 20, 1})
     ->Args({1 << 20, 4});
 
-void BM_FilterCount(benchmark::State& state) {
+void BM_ParallelSortInto(benchmark::State& state) {
   par::scheduler::initialize(static_cast<unsigned>(state.range(1)));
-  auto in = inputs(static_cast<std::size_t>(state.range(0)));
+  const auto in = inputs(static_cast<std::size_t>(state.range(0)));
+  std::vector<std::uint32_t> v;
+  Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(prim::filter_count(
-        in.size(), [&](std::size_t i) { return (in[i] & 1) == 0; }));
+    state.PauseTiming();
+    v.assign(in.begin(), in.end());
+    state.ResumeTiming();
+    prim::parallel_sort_into(v, std::less<std::uint32_t>{}, ws);
+    benchmark::DoNotOptimize(v.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_FilterCount)->Args({1 << 20, 1})->Args({1 << 20, 4});
-
-void BM_Tabulate(benchmark::State& state) {
-  par::scheduler::initialize(static_cast<unsigned>(state.range(1)));
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        prim::tabulate(n, [](std::size_t i) { return 3 * i + 1; }));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_Tabulate)->Args({1 << 20, 1})->Args({1 << 20, 4});
+BENCHMARK(BM_ParallelSortInto)
+    ->Args({1 << 16, 1})
+    ->Args({1 << 16, 4})
+    ->Args({1 << 20, 1})
+    ->Args({1 << 20, 4});
 
 // Steady-state allocation probe: after one warm-up epoch, hot iterations
 // of the _into primitives must be served entirely from the pool and the
@@ -129,13 +79,12 @@ void run_alloc_probe() {
   const int iters = 32;
   auto in = inputs(n);
   std::vector<std::uint32_t> packed;
-  std::vector<std::uint32_t> scanned(n);
   Workspace ws;
   auto pred = [&](std::size_t i) { return (in[i] & 1) == 0; };
   auto one_iteration = [&] {
     ws.epoch_reset();
     prim::pack_into(in, pred, packed, ws);
-    prim::exclusive_scan_into(in.data(), scanned.data(), n, ws);
+    prim::parallel_sort_into(packed, std::less<std::uint32_t>{}, ws);
   };
   one_iteration();  // warm-up: populates the pool and the capacities
   const WorkspaceStats warm = ws.stats();

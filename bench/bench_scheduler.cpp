@@ -1,5 +1,5 @@
 // google-benchmark microbenchmarks for the fork-join scheduler substrate:
-// fork2join overhead, parallel_for at different grains, reduce throughput.
+// fork2join overhead and parallel_for throughput at several worker counts.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -49,18 +49,6 @@ BENCHMARK(BM_ParallelForSaxpyLike)
     ->Args({1 << 20, 1})
     ->Args({1 << 20, 2})
     ->Args({1 << 20, 4});
-
-void BM_ParallelReduceSum(benchmark::State& state) {
-  par::scheduler::initialize(static_cast<unsigned>(state.range(0)));
-  const std::size_t n = 1 << 20;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(par::parallel_reduce(
-        0, n, 0.0, [](std::size_t i) { return 0.5 * i; },
-        [](double a, double b) { return a + b; }));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_ParallelReduceSum)->Arg(1)->Arg(4);
 
 }  // namespace
 

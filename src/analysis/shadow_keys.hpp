@@ -37,11 +37,10 @@ enum class ShadowArray : std::uint64_t {
   kConstructStatus = 0,  // construct.cpp: per-round classification
   kMarkL = 1,            // dynamic_update: epoch marks for L
   kMarkLX = 2,           // dynamic_update: epoch marks for L ∪ X
-  kStatusG = 3,          // dynamic_update: kind in the old contraction G
-  kOldLeaf = 4,          // dynamic_update: leaf-in-G flags
-  kNewLeaf = 5,          // dynamic_update: leaf-in-F flags
-  kCand = 6,             // dynamic_update: claim-then-pack candidate slots
-  kRCEvents = 7,         // rc_forest: the derived per-vertex event table
+  kStatusG = 3,          // dynamic_update: kind in the new contraction G
+  kOldLeaf = 4,          // dynamic_update: leaf-in-F (old forest) flags
+  kCand = 5,             // dynamic_update: claim-then-pack candidate slots
+  kRCEvents = 6,         // rc_forest: the derived per-vertex event table
 };
 
 namespace detail {

@@ -336,8 +336,8 @@ std::string describe(ShadowKey key) {
     case ShadowSpace::kScratch: {
       static constexpr const char* kNames[] = {
           "construct.status", "update.mark_l",   "update.mark_lx",
-          "update.status_g",  "update.old_leaf", "update.new_leaf",
-          "update.cand",      "rc.events"};
+          "update.status_g",  "update.old_leaf", "update.cand",
+          "rc.events"};
       const auto array = (key.value >> 32) & 0x3Fu;
       const char* name =
           array < sizeof(kNames) / sizeof(kNames[0]) ? kNames[array] : "?";

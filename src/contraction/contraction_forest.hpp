@@ -48,10 +48,6 @@ class ContractionForest {
     history_[v].duration = d;
   }
 
-  bool alive(std::uint32_t round, VertexId v) const {
-    return round < duration(v);
-  }
-
   const RoundRecord& record(std::uint32_t round, VertexId v) const {
     // Indexing the rounds vector races with a concurrent ensure_round
     // growing it; model the vector itself as one shadow cell. The
@@ -74,11 +70,6 @@ class ContractionForest {
     } else {
       PARCT_SHADOW_READ(analysis::record_rounds_cell(shadow_id(), v));
     }
-  }
-
-  std::size_t rounds_stored(VertexId v) const {
-    PARCT_SHADOW_READ(analysis::record_rounds_cell(shadow_id(), v));
-    return history_[v].rounds.size();
   }
 
   /// Drops records at indices >= duration(v) (bookkeeping after a vertex
@@ -113,10 +104,6 @@ class ContractionForest {
       return Kind::kCompress;
     }
     return Kind::kSurvive;
-  }
-
-  bool contracts(std::uint32_t round, VertexId v) const {
-    return classify(round, v) != Kind::kSurvive;
   }
 
   // --- whole-structure operations --------------------------------------

@@ -33,9 +33,6 @@ constexpr analysis::ShadowKey status_g_cell(VertexId v) {
 constexpr analysis::ShadowKey old_leaf_cell(VertexId v) {
   return analysis::scratch_cell(analysis::ShadowArray::kOldLeaf, v);
 }
-constexpr analysis::ShadowKey new_leaf_cell(VertexId v) {
-  return analysis::scratch_cell(analysis::ShadowArray::kNewLeaf, v);
-}
 }  // namespace
 
 DynamicUpdater::DynamicUpdater(ContractionForest& c) : c_(c) {
@@ -55,7 +52,6 @@ void DynamicUpdater::grow_scratch() {
   mark_lx_.assign(cap, 0);
   status_g_.assign(cap, 0);
   old_leaf_.assign(cap, 0);
-  new_leaf_.assign(cap, 0);
   scratch_cap_ = cap;
 }
 
@@ -431,7 +427,7 @@ void DynamicUpdater::propagate(std::uint32_t i, EventHooks* hooks,
   // Phase E+F (fused): Spread (Fig. 4 lines 20-31) builds the next round's
   // L; the old standalone Phase E (new G leaf statuses at round i+1, the
   // ell' of Fig. 4) is folded into case (d) below — the only consumer of
-  // new_leaf_, and its guard (kSurvive with D[v] > i+1) is exactly E's
+  // the new status, and its guard (kSurvive with D[v] > i+1) is exactly E's
   // write condition. Each iteration computes and compares its own vertex's
   // statuses, so the fusion removes one full frontier traversal without
   // introducing any cross-iteration read of another's write.
@@ -471,11 +467,9 @@ void DynamicUpdater::propagate(std::uint32_t i, EventHooks* hooks,
         }
       } else if (dur_f > i + 1) {  // (d), with E's ell' computed in place
         PARCT_SHADOW_READ_CHILDREN(c_.shadow_id(), v, i + 1);
-        PARCT_SHADOW_WRITE(new_leaf_cell(v));
-        new_leaf_[v] =
-            children_empty(c_.record(i + 1, v).children) ? 1 : 0;
+        const bool new_leaf = children_empty(c_.record(i + 1, v).children);
         PARCT_SHADOW_READ(old_leaf_cell(v));
-        if (new_leaf_[v] != old_leaf_[v]) {
+        if (new_leaf != (old_leaf_[v] != 0)) {
           PARCT_SHADOW_READ(
               analysis::record_parent_cell(c_.shadow_id(), v, i + 1));
           const VertexId p = c_.record(i + 1, v).parent;

@@ -174,7 +174,6 @@ class DynamicUpdater {
   std::vector<std::uint64_t> mark_lx_;                   // v in L or X?
   std::vector<std::uint8_t> status_g_;   // Kind of L members this round
   std::vector<std::uint8_t> old_leaf_;   // leaf status in F at round i+1
-  std::vector<std::uint8_t> new_leaf_;   // leaf status in G at round i+1
   std::uint64_t epoch_ = 0;
   std::uint64_t epoch_l_ = 0;
   std::uint64_t epoch_lx_ = 0;

@@ -59,14 +59,6 @@ inline VertexId only_child(const ChildArray& c) {
   return found;
 }
 
-/// Slot of `u` in `c`, or -1.
-inline int find_child_slot(const ChildArray& c, VertexId u) {
-  for (int s = 0; s < kMaxDegree; ++s) {
-    if (c[s] == u) return s;
-  }
-  return -1;
-}
-
 /// First free slot with index < limit, or -1.
 inline int find_free_slot(const ChildArray& c, int limit = kMaxDegree) {
   for (int s = 0; s < limit; ++s) {

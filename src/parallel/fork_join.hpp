@@ -1,8 +1,6 @@
 // Binary fork-join on top of the work-stealing scheduler.
 #pragma once
 
-#include <utility>
-
 #include "analysis/sp_bags.hpp"
 #include "parallel/scheduler.hpp"
 
@@ -66,23 +64,6 @@ void fork2join(F1&& f1, F2&& f2) {
     throw;
   }
   detail::join(t2);
-}
-
-/// N-ary parallel invocation, balanced binary tree of forks.
-template <typename F1>
-void parallel_invoke(F1&& f1) {
-  f1();
-}
-
-template <typename F1, typename F2, typename... Fs>
-void parallel_invoke(F1&& f1, F2&& f2, Fs&&... fs) {
-  if constexpr (sizeof...(fs) == 0) {
-    fork2join(std::forward<F1>(f1), std::forward<F2>(f2));
-  } else {
-    fork2join([&] { parallel_invoke(std::forward<F1>(f1),
-                                    std::forward<F2>(f2)); },
-              [&] { parallel_invoke(std::forward<Fs>(fs)...); });
-  }
 }
 
 }  // namespace parct::par

@@ -1,11 +1,10 @@
-// parallel_for / parallel_reduce by recursive range splitting — the
-// "parallel for" of the paper's work-time framework, realized as a balanced
-// binary tree of forks (paper §2.2.1).
+// parallel_for by recursive range splitting — the "parallel for" of the
+// paper's work-time framework, realized as a balanced binary tree of forks
+// (paper §2.2.1).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <type_traits>
 
 #include "parallel/fork_join.hpp"
 
@@ -57,29 +56,6 @@ void parallel_for_rec(std::size_t lo, std::size_t hi, std::size_t grain,
             [&] { parallel_for_rec(mid, hi, grain, f); });
 }
 
-template <typename T, typename Map, typename Combine>
-T parallel_reduce_rec(std::size_t lo, std::size_t hi, std::size_t grain,
-                      const T& identity, const Map& map,
-                      const Combine& combine) {
-  if (hi - lo <= grain) {
-    T acc = identity;
-    for (std::size_t i = lo; i < hi; ++i) acc = combine(acc, map(i));
-    return acc;
-  }
-  const std::size_t mid = lo + (hi - lo) / 2;
-  // Seed from `identity`, not T{}: T need not be default-constructible.
-  T left = identity;
-  T right = identity;
-  fork2join(
-      [&] {
-        left = parallel_reduce_rec(lo, mid, grain, identity, map, combine);
-      },
-      [&] {
-        right = parallel_reduce_rec(mid, hi, grain, identity, map, combine);
-      });
-  return combine(left, right);
-}
-
 }  // namespace detail
 
 /// Calls `f(i)` for every i in [lo, hi), in parallel. When the pool has a
@@ -104,55 +80,6 @@ void parallel_for(std::size_t lo, std::size_t hi, const F& f,
   }
   if (grain == 0) grain = default_grain(n);
   detail::parallel_for_rec(lo, hi, grain, f);
-}
-
-/// Block-wise parallel loop: calls `body(lo, hi)` on disjoint sub-ranges
-/// covering [lo, hi). Prefer this over per-index parallel_for when the
-/// body benefits from a tight sequential inner loop (vectorization,
-/// cached state).
-template <typename Body>
-void parallel_for_blocked(std::size_t lo, std::size_t hi, const Body& body,
-                          std::size_t grain = 0) {
-  if (hi <= lo) return;
-  if (!race_detect_forced() &&
-      (scheduler::serial_forced() || scheduler::num_workers() == 1)) {
-    body(lo, hi);
-    return;
-  }
-  if (grain == 0) grain = default_grain(hi - lo);
-  if (race_detect_forced()) grain = 1;  // blocks may be any partition
-  struct Rec {
-    static void run(std::size_t lo, std::size_t hi, std::size_t grain,
-                    const Body& body) {
-      if (hi - lo <= grain) {
-        body(lo, hi);
-        return;
-      }
-      const std::size_t mid = lo + (hi - lo) / 2;
-      fork2join([&] { run(lo, mid, grain, body); },
-                [&] { run(mid, hi, grain, body); });
-    }
-  };
-  Rec::run(lo, hi, grain, body);
-}
-
-/// Tree reduction: combine(identity, map(lo), ..., map(hi-1)).
-/// `combine` must be associative; `identity` its unit.
-template <typename T, typename Map, typename Combine>
-T parallel_reduce(std::size_t lo, std::size_t hi, T identity, const Map& map,
-                  const Combine& combine, std::size_t grain = 0) {
-  if (hi <= lo) return identity;
-  if (race_detect_forced()) {
-    return detail::parallel_reduce_rec(lo, hi, 1, identity, map, combine);
-  }
-  const std::size_t n = hi - lo;
-  if (scheduler::serial_forced() || scheduler::num_workers() == 1) {
-    T acc = identity;
-    for (std::size_t i = lo; i < hi; ++i) acc = combine(acc, map(i));
-    return acc;
-  }
-  if (grain == 0) grain = default_grain(n);
-  return detail::parallel_reduce_rec(lo, hi, grain, identity, map, combine);
 }
 
 }  // namespace parct::par

@@ -14,7 +14,6 @@
 #include "parallel/capability.hpp"
 #include "hashing/splitmix64.hpp"
 #include "parallel/chase_lev_deque.hpp"
-#include "primitives/workspace.hpp"
 #include "parallel/stats.hpp"
 #include "parallel/tsan.hpp"
 
@@ -298,14 +297,6 @@ SerialScope::SerialScope() {
 }
 SerialScope::~SerialScope() { --tl_serial_depth; }
 
-Workspace& worker_workspace() {
-  // One pool per thread: pool threads (the workers) each get their own,
-  // and so does any plain thread calling the allocating primitive shims.
-  // Freed with the thread, i.e. at pool shutdown for workers.
-  static thread_local Workspace ws;
-  return ws;
-}
-
 namespace detail {
 
 RegionScope::RegionScope() { ++tl_region_depth; }
@@ -323,16 +314,6 @@ void push_task(Task* t) {
 Task* pop_task() {
   Pool& pool = ensure_pool();
   return pool.workers[self_id(pool)]->deque.pop_bottom();
-}
-
-bool steal_and_run_one() {
-  Pool& pool = ensure_pool();
-  const unsigned self = self_id(pool);
-  if (Task* t = try_steal(pool, self)) {
-    run_task(*pool.workers[self], t);
-    return true;
-  }
-  return false;
 }
 
 void wait_for(Task* t) {

@@ -13,10 +13,6 @@
 #include <exception>
 #include <functional>
 
-namespace parct {
-class Workspace;  // primitives/workspace.hpp
-}  // namespace parct
-
 namespace parct::par {
 
 /// A unit of stealable work. Stack-allocated inside fork2join; the deque
@@ -130,17 +126,6 @@ class SerialScope {
   SerialScope& operator=(const SerialScope&) = delete;
 };
 
-/// The calling worker's scratch pool (primitives/workspace.hpp). One
-/// Workspace per pool thread (thread-local, so the main thread outside any
-/// pool gets one too): parallel phases that need scratch on their own
-/// slice lease from their worker's pool and never contend on a shared
-/// allocator. The allocating primitive shims (prim::pack & co.) draw their
-/// block-offset scratch from here, which is what makes repeated calls
-/// allocation-free in steady state. Blocks leased from one worker's pool
-/// must be released on the same worker (the Lease must not be moved across
-/// tasks).
-Workspace& worker_workspace();
-
 // --- internal API used by fork_join.hpp / adaptive.hpp ---
 namespace detail {
 /// Raw serial-mode entry/exit: what SerialScope does, minus the
@@ -166,9 +151,6 @@ void push_task(Task* t);
 /// Tries to pop the owner's most recent task; returns nullptr if it was
 /// stolen (or the deque is empty).
 Task* pop_task();
-/// Steals and runs at most one task from some victim; returns true if a
-/// task was executed.
-bool steal_and_run_one();
 /// Busy-helps until `t` is finished: steals and runs other tasks, yielding
 /// between failed attempts.
 void wait_for(Task* t);

@@ -25,12 +25,9 @@
 #include "hashing/two_independent.hpp"
 #include "parallel/fork_join.hpp"
 #include "parallel/parallel_for.hpp"
-#include "parallel/reducers.hpp"
 #include "parallel/scheduler.hpp"
 #include "primitives/counting.hpp"
 #include "primitives/pack.hpp"
-#include "primitives/scan.hpp"
-#include "primitives/sequence_ops.hpp"
 #include "primitives/sort.hpp"
 #include "rc/batch_queries.hpp"
 #include "rc/expression_eval.hpp"

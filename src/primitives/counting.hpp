@@ -1,8 +1,8 @@
-// Parallel histogram and stable counting sort for small integer keys
-// (e.g. bucketing vertices by death round: K = O(log n) buckets).
-// Blocked two-pass structure like scan.hpp: per-block local histograms,
-// a column-major scan over the block histograms, then a per-block scatter.
-// O(n + K * n/B) work, O(log n + K) span.
+// Parallel stable counting sort for small integer keys (e.g. bucketing
+// vertices by death round: K = O(log n) buckets). Blocked two-pass
+// structure: per-block local histograms, a column-major scan over the
+// block histograms, then a per-block scatter. O(n + K * n/B) work,
+// O(log n + K) span.
 #pragma once
 
 #include <cstddef>
@@ -13,44 +13,6 @@
 #include "parallel/parallel_for.hpp"
 
 namespace parct::prim {
-
-/// counts[k] = |{ i in [0, n) : key(i) == k }|. `key(i)` must be < K.
-template <typename KeyFn>
-std::vector<std::uint32_t> histogram(std::size_t n, const KeyFn& key,
-                                     std::size_t num_keys) {
-  std::vector<std::uint32_t> counts(num_keys, 0);
-  if (n == 0) return counts;
-  const std::size_t kBlock = 8192;
-  if (!par::race_detect_forced() &&
-      (n <= kBlock || par::scheduler::num_workers() == 1)) {
-    for (std::size_t i = 0; i < n; ++i) ++counts[key(i)];
-    return counts;
-  }
-  PARCT_SHADOW_BUFFER(shadow_local);
-  PARCT_SHADOW_BUFFER(shadow_counts);
-  const std::size_t num_blocks = (n + kBlock - 1) / kBlock;
-  std::vector<std::uint32_t> local(num_blocks * num_keys, 0);
-  par::parallel_for(0, num_blocks, [&](std::size_t b) {
-    std::uint32_t* mine = local.data() + b * num_keys;
-    const std::size_t hi = std::min((b + 1) * kBlock, n);
-    for (std::size_t i = b * kBlock; i < hi; ++i) {
-      PARCT_SHADOW_WRITE(
-          analysis::buffer_cell(shadow_local, b * num_keys + key(i)));
-      ++mine[key(i)];
-    }
-  }, 1);
-  par::parallel_for(0, num_keys, [&](std::size_t k) {
-    std::uint32_t total = 0;
-    for (std::size_t b = 0; b < num_blocks; ++b) {
-      PARCT_SHADOW_READ(
-          analysis::buffer_cell(shadow_local, b * num_keys + k));
-      total += local[b * num_keys + k];
-    }
-    PARCT_SHADOW_WRITE(analysis::buffer_cell(shadow_counts, k));
-    counts[k] = total;
-  });
-  return counts;
-}
 
 /// Indices 0..n-1 stably ordered by key(i) (all key-0 indices first, in
 /// increasing order, then key-1, ...). `key(i)` must be < K.

@@ -2,20 +2,18 @@
 // preserving order. This is the C(n) subroutine of the paper's analysis;
 // ours is the work-efficient prefix-sums version: O(n) work, O(log n) span.
 //
-// The *_into variants are destination-passing and run a FUSED scan+pack:
-// one sweep counts the predicate hits per block, a serial scan over the
-// per-block counts (leased from the Workspace — num_blocks entries, not n)
-// places each block, and a second sweep writes each block's survivors at
-// its offset. Compared to the classic flags/offsets formulation this never
+// pack_into is destination-passing and runs a FUSED scan+pack: one sweep
+// counts the predicate hits per block, a serial scan over the per-block
+// counts (leased from the Workspace — num_blocks entries, not n) places
+// each block, and a second sweep writes each block's survivors at its
+// offset. Compared to the classic flags/offsets formulation this never
 // materializes an n-sized offsets vector and performs zero heap
 // allocations in steady state (the destination reuses its capacity; growth
 // is tracked in the workspace stats). The predicate is evaluated at most
 // twice per index and must be pure.
-//
-// The classic allocating signatures remain as thin shims over the fused
-// kernel, drawing scratch from the calling worker's pool.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -23,31 +21,51 @@
 
 #include "analysis/annotations.hpp"
 #include "parallel/parallel_for.hpp"
-#include "parallel/scheduler.hpp"
-#include "primitives/scan.hpp"
 #include "primitives/workspace.hpp"
 
 namespace parct::prim {
 
-namespace detail {
+/// True iff a count fits the 32-bit offsets pack places its blocks with:
+/// a larger total would silently wrap. pack_into debug-asserts it on n and
+/// on the kept total, which it sums in 64 bits before the narrowing cast;
+/// see the 2^32-boundary unit test in scan_pack_test.cpp.
+constexpr bool offsets_fit_uint32(std::uint64_t total) {
+  return total <= 0xFFFFFFFFull;
+}
 
-inline constexpr std::size_t kPackBlock = 4096;
-
-/// Fused scan+pack over [0, n): `emit(i, slot)` is called once for every i
-/// with pred(i), where `slot` is i's rank among the kept indices. The
-/// caller sizes the destination via `resize_out(total)` between the count
-/// and the write sweeps. Returns the number kept.
-template <typename Pred, typename ResizeOut, typename Emit>
-std::size_t fused_pack(std::size_t n, const Pred& pred, Workspace& ws,
-                       const ResizeOut& resize_out, const Emit& emit) {
-  const std::size_t num_blocks = (n + kPackBlock - 1) / kPackBlock;
+/// Elements `in[i]` whose index satisfies `pred`, in order, written into
+/// `out` (resized; steady-state calls are allocation-free). Returns the
+/// number kept. `out` must not alias `in`.
+template <typename T, typename Pred>
+std::size_t pack_into(const std::vector<T>& in, const Pred& pred,
+                      std::vector<T>& out, Workspace& ws) {
+  const std::size_t n = in.size();
+  assert(offsets_fit_uint32(n) && "pack_into: n exceeds 32-bit offsets");
+  if (n == 0) {
+    out.clear();
+    return 0;
+  }
+  if (par::sequential_mode()) {
+    const std::size_t cap = out.capacity();
+    out.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (pred(i)) out.push_back(in[i]);
+    }
+    if (out.capacity() != cap) {
+      ws.note_container_growth((out.capacity() - cap) * sizeof(T));
+    }
+    return out.size();
+  }
+  PARCT_SHADOW_BUFFER(shadow_out);
+  const std::size_t kBlock = 4096;
+  const std::size_t num_blocks = (n + kBlock - 1) / kBlock;
   auto offsets = ws.acquire<std::uint32_t>(num_blocks);
   const std::uint64_t shadow_offsets = offsets.shadow_nonce();
   (void)shadow_offsets;
   // Sweep 1: per-block predicate counts.
   par::parallel_for(0, num_blocks, [&](std::size_t b) {
-    const std::size_t lo = b * kPackBlock;
-    const std::size_t hi = std::min(lo + kPackBlock, n);
+    const std::size_t lo = b * kBlock;
+    const std::size_t hi = std::min(lo + kBlock, n);
     std::uint32_t count = 0;
     for (std::size_t i = lo; i < hi; ++i) {
       if (pred(i)) ++count;
@@ -66,126 +84,23 @@ std::size_t fused_pack(std::size_t n, const Pred& pred, Workspace& ws,
   }
   assert(offsets_fit_uint32(total64) && "pack: 32-bit offset overflow");
   const std::size_t total = static_cast<std::size_t>(total64);
-  resize_out(total);
+  ws.resize_tracked(out, total);
   // Sweep 2: each block writes its survivors at its offset. Blocks own
   // disjoint destination ranges [offsets[b], offsets[b] + count_b), which
   // the shadow writes below prove (an overlap would be a write-write race).
   par::parallel_for(0, num_blocks, [&](std::size_t b) {
-    const std::size_t lo = b * kPackBlock;
-    const std::size_t hi = std::min(lo + kPackBlock, n);
+    const std::size_t lo = b * kBlock;
+    const std::size_t hi = std::min(lo + kBlock, n);
     PARCT_SHADOW_READ(analysis::buffer_cell(shadow_offsets, b));
     std::uint32_t slot = offsets[b];
     for (std::size_t i = lo; i < hi; ++i) {
-      if (pred(i)) emit(i, slot++);
+      if (pred(i)) {
+        PARCT_SHADOW_WRITE(analysis::buffer_cell(shadow_out, slot));
+        out[slot++] = in[i];
+      }
     }
   }, 1);
   return total;
-}
-
-}  // namespace detail
-
-/// Number of i in [0, n) with pred(i) true. No allocation, O(n) work,
-/// O(log n) span.
-template <typename Pred>
-std::size_t filter_count(std::size_t n, const Pred& pred) {
-  return par::parallel_reduce(
-      0, n, std::size_t{0},
-      [&](std::size_t i) { return pred(i) ? std::size_t{1} : std::size_t{0}; },
-      [](std::size_t a, std::size_t b) { return a + b; });
-}
-
-/// Indices i in [0, n) with pred(i) true, in increasing order, written
-/// into `out` (resized; capacity reuse makes steady-state calls
-/// allocation-free). Returns the number kept.
-template <typename Pred>
-std::size_t pack_index_into(std::size_t n, const Pred& pred,
-                            std::vector<std::uint32_t>& out, Workspace& ws) {
-  assert(offsets_fit_uint32(n) && "pack_index_into: n exceeds 32-bit offsets");
-  if (n == 0) {
-    out.clear();
-    return 0;
-  }
-  if (par::sequential_mode()) {
-    const std::size_t cap = out.capacity();
-    out.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (pred(i)) out.push_back(static_cast<std::uint32_t>(i));
-    }
-    if (out.capacity() != cap) {
-      ws.note_container_growth((out.capacity() - cap) *
-                               sizeof(std::uint32_t));
-    }
-    return out.size();
-  }
-  PARCT_SHADOW_BUFFER(shadow_out);
-  return detail::fused_pack(
-      n, pred, ws, [&](std::size_t total) { ws.resize_tracked(out, total); },
-      [&](std::size_t i, std::uint32_t slot) {
-        PARCT_SHADOW_WRITE(analysis::buffer_cell(shadow_out, slot));
-        out[slot] = static_cast<std::uint32_t>(i);
-      });
-}
-
-/// Elements `in[i]` whose index satisfies `pred`, in order, written into
-/// `out` (resized; steady-state calls are allocation-free). Returns the
-/// number kept. `out` must not alias `in`.
-template <typename T, typename Pred>
-std::size_t pack_into(const T* in, std::size_t n, const Pred& pred,
-                      std::vector<T>& out, Workspace& ws) {
-  assert(offsets_fit_uint32(n) && "pack_into: n exceeds 32-bit offsets");
-  if (n == 0) {
-    out.clear();
-    return 0;
-  }
-  if (par::sequential_mode()) {
-    const std::size_t cap = out.capacity();
-    out.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (pred(i)) out.push_back(in[i]);
-    }
-    if (out.capacity() != cap) {
-      ws.note_container_growth((out.capacity() - cap) * sizeof(T));
-    }
-    return out.size();
-  }
-  PARCT_SHADOW_BUFFER(shadow_out);
-  return detail::fused_pack(
-      n, pred, ws, [&](std::size_t total) { ws.resize_tracked(out, total); },
-      [&](std::size_t i, std::uint32_t slot) {
-        PARCT_SHADOW_WRITE(analysis::buffer_cell(shadow_out, slot));
-        out[slot] = in[i];
-      });
-}
-
-template <typename T, typename Pred>
-std::size_t pack_into(const std::vector<T>& in, const Pred& pred,
-                      std::vector<T>& out, Workspace& ws) {
-  return pack_into(in.data(), in.size(), pred, out, ws);
-}
-
-/// Indices i in [0, n) with pred(i) true, in increasing order.
-/// (Allocating shim over pack_index_into; scratch from the calling
-/// worker's pool.)
-template <typename Pred>
-std::vector<std::uint32_t> pack_index(std::size_t n, const Pred& pred) {
-  std::vector<std::uint32_t> out;
-  pack_index_into(n, pred, out, par::scheduler::worker_workspace());
-  return out;
-}
-
-/// Elements of `in` whose index satisfies `pred`, in order. (Allocating
-/// shim over pack_into.)
-template <typename T, typename Pred>
-std::vector<T> pack(const std::vector<T>& in, const Pred& pred) {
-  std::vector<T> out;
-  pack_into(in.data(), in.size(), pred, out, par::scheduler::worker_workspace());
-  return out;
-}
-
-/// Elements of `in` satisfying the value predicate, in order.
-template <typename T, typename Pred>
-std::vector<T> filter(const std::vector<T>& in, const Pred& pred) {
-  return pack(in, [&](std::size_t i) { return pred(in[i]); });
 }
 
 }  // namespace parct::prim

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -68,10 +69,14 @@ void merge_sort_rec(T* data, T* buffer, std::size_t n, const Less& less,
 }  // namespace detail
 
 /// Stable in-place sort of `v` by `less`, parallel over sub-ranges. The
-/// merge buffer of a trivially copyable T is leased from `ws`, so
-/// steady-state calls do not allocate, also on the sequential path.
+/// merge buffer is leased from `ws`, so steady-state calls do not
+/// allocate, also on the sequential path.
 template <typename T, typename Less = std::less<T>>
 void parallel_sort_into(std::vector<T>& v, Less less, Workspace& ws) {
+  // Workspace blocks are raw storage: a T that needs construction cannot
+  // live in them.
+  static_assert(std::is_trivially_copyable_v<T>,
+                "parallel_sort_into sorts trivially copyable elements");
   const std::size_t n = v.size();
   if (n < 2) return;
   // Small inputs and 1-worker pools sort sequentially (grain n). Under race
@@ -86,31 +91,8 @@ void parallel_sort_into(std::vector<T>& v, Less less, Workspace& ws) {
     grain = std::max<std::size_t>(4096,
                                   n / (8 * par::scheduler::num_workers()));
   }
-  if constexpr (std::is_trivially_copyable_v<T>) {
-    auto buffer = ws.acquire<T>(n);
-    detail::merge_sort_rec(v.data(), buffer.data(), n, less, grain);
-  } else {
-    // Raw workspace storage would need placement construction for
-    // non-trivial T; fall back to a real vector for those.
-    std::vector<T> buffer(n);
-    detail::merge_sort_rec(v.data(), buffer.data(), n, less, grain);
-  }
-}
-
-/// Allocating shim (merge buffer from the calling worker's pool).
-template <typename T, typename Less = std::less<T>>
-void parallel_sort(std::vector<T>& v, Less less = Less{}) {
-  parallel_sort_into(v, less, par::scheduler::worker_workspace());
-}
-
-/// Indices 0..n-1 sorted stably by `less(i, j)` on index pairs.
-template <typename LessIdx>
-std::vector<std::uint32_t> sorted_indices(std::size_t n,
-                                          const LessIdx& less) {
-  std::vector<std::uint32_t> idx(n);
-  for (std::size_t i = 0; i < n; ++i) idx[i] = static_cast<std::uint32_t>(i);
-  parallel_sort(idx, less);
-  return idx;
+  auto buffer = ws.acquire<T>(n);
+  detail::merge_sort_rec(v.data(), buffer.data(), n, less, grain);
 }
 
 }  // namespace parct::prim

@@ -12,9 +12,7 @@
 // Ownership and epoch rules (see docs/PERFORMANCE.md):
 //   * A Workspace is single-owner scratch: exactly one logical thread
 //     acquires from it at a time. Parallel phases lease *before* forking
-//     and only read/write the leased memory inside the region; per-worker
-//     pools (par::scheduler::worker_workspace) cover code that needs
-//     scratch on a worker's own slice.
+//     and only read/write the leased memory inside the region.
 //   * Leases must not outlive their Workspace.
 //   * epoch_reset() marks a round boundary: it asserts that no lease is
 //     outstanding and bumps the epoch counter. Capacity is retained.

@@ -1,11 +1,8 @@
-// Tests for parallel_for / parallel_reduce.
+// Tests for parallel_for.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <climits>
-#include <numeric>
-#include <type_traits>
 #include <vector>
 
 #include "parallel/parallel_for.hpp"
@@ -52,63 +49,6 @@ TEST_P(ParallelForTest, TinyGrainStillCorrect) {
   parallel_for(0, n, [&](std::size_t i) { ++hit[i]; }, /*grain=*/1);
   EXPECT_TRUE(std::all_of(hit.begin(), hit.end(),
                           [](std::uint8_t h) { return h == 1; }));
-}
-
-TEST_P(ParallelForTest, ReduceSum) {
-  const std::size_t n = 123457;
-  const long total = parallel_reduce(
-      0, n, 0L, [](std::size_t i) { return static_cast<long>(i); },
-      [](long a, long b) { return a + b; });
-  EXPECT_EQ(total, static_cast<long>(n) * (n - 1) / 2);
-}
-
-TEST_P(ParallelForTest, ReduceMax) {
-  std::vector<int> v(9999);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    v[i] = static_cast<int>((i * 2654435761u) % 100000);
-  }
-  const int expected = *std::max_element(v.begin(), v.end());
-  const int got = parallel_reduce(
-      0, v.size(), INT_MIN, [&](std::size_t i) { return v[i]; },
-      [](int a, int b) { return a > b ? a : b; });
-  EXPECT_EQ(got, expected);
-}
-
-TEST_P(ParallelForTest, ReduceNonDefaultConstructibleValueType) {
-  // parallel_reduce must seed intermediate accumulators from `identity`,
-  // not from T{} (T need not be default-constructible).
-  struct MinMax {
-    int lo, hi;
-    MinMax(int l, int h) : lo(l), hi(h) {}
-    MinMax() = delete;
-  };
-  static_assert(!std::is_default_constructible_v<MinMax>);
-  const std::size_t n = 20001;
-  const MinMax got = parallel_reduce(
-      0, n, MinMax(INT_MAX, INT_MIN),
-      [](std::size_t i) {
-        const int v = static_cast<int>((i * 2654435761u) % 1000003);
-        return MinMax(v, v);
-      },
-      [](const MinMax& a, const MinMax& b) {
-        return MinMax(a.lo < b.lo ? a.lo : b.lo, a.hi > b.hi ? a.hi : b.hi);
-      },
-      /*grain=*/64);
-  int lo = INT_MAX, hi = INT_MIN;
-  for (std::size_t i = 0; i < n; ++i) {
-    const int v = static_cast<int>((i * 2654435761u) % 1000003);
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  EXPECT_EQ(got.lo, lo);
-  EXPECT_EQ(got.hi, hi);
-}
-
-TEST_P(ParallelForTest, ReduceEmptyIsIdentity) {
-  const int r = parallel_reduce(
-      3, 3, -42, [](std::size_t) { return 0; },
-      [](int a, int b) { return a + b; });
-  EXPECT_EQ(r, -42);
 }
 
 TEST_P(ParallelForTest, NestedParallelFor) {

@@ -1,6 +1,6 @@
-// Edge cases for the parallel primitives (scan, pack, counting): empty
+// Edge cases for the parallel primitives (pack, counting sort): empty
 // input, single element, all-flags-set / all-clear, and sizes straddling
-// the internal block boundaries (kBlock = 4096 for scan, 8192 for
+// the internal block boundaries (kBlock = 4096 for pack, 8192 for
 // counting) so both the sequential fallback and the blocked parallel
 // paths — including the one-element spill block — are exercised.
 #include <gtest/gtest.h>
@@ -14,19 +14,19 @@
 #include "parallel/scheduler.hpp"
 #include "primitives/counting.hpp"
 #include "primitives/pack.hpp"
-#include "primitives/scan.hpp"
+#include "primitives/workspace.hpp"
 
 namespace parct {
 namespace {
 
-// Straddles the kBlock thresholds of scan.hpp (4096) and counting.hpp
+// Straddles the kBlock thresholds of pack.hpp (4096) and counting.hpp
 // (8192): below, exactly on, one past, and multiple blocks.
 const std::size_t kSizes[] = {0,    1,    2,    4095, 4096, 4097,
                               8191, 8192, 8193, 16384};
 
-std::vector<std::uint64_t> ramp(std::size_t n) {
-  std::vector<std::uint64_t> v(n);
-  for (std::size_t i = 0; i < n; ++i) v[i] = (i * 2654435761u) % 97;
+std::vector<std::uint32_t> ids(std::size_t n, std::uint32_t base) {
+  std::vector<std::uint32_t> v(n);
+  std::iota(v.begin(), v.end(), base);
   return v;
 }
 
@@ -37,134 +37,49 @@ class PrimitivesEdgeCases : public ::testing::Test {
   void TearDown() override { par::scheduler::initialize(1); }
 };
 
-TEST_F(PrimitivesEdgeCases, ExclusiveScanMatchesSequential) {
-  for (const std::size_t n : kSizes) {
-    const std::vector<std::uint64_t> in = ramp(n);
-    std::vector<std::uint64_t> out;
-    const std::uint64_t total = prim::exclusive_scan(in, out);
-
-    std::vector<std::uint64_t> want(n);
-    std::uint64_t acc = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      want[i] = acc;
-      acc += in[i];
-    }
-    EXPECT_EQ(total, acc) << "n=" << n;
-    EXPECT_EQ(out, want) << "n=" << n;
-  }
-}
-
-TEST_F(PrimitivesEdgeCases, ExclusiveScanInPlaceAndAliased) {
-  for (const std::size_t n : kSizes) {
-    std::vector<std::uint64_t> v = ramp(n);
-    const std::vector<std::uint64_t> in = v;
-    const std::uint64_t total = prim::exclusive_scan_inplace(v);
-    EXPECT_EQ(total, std::accumulate(in.begin(), in.end(),
-                                     std::uint64_t{0}))
-        << "n=" << n;
-    if (n > 0) {
-      EXPECT_EQ(v[0], 0u) << "n=" << n;
-      EXPECT_EQ(v[n - 1], total - in[n - 1]) << "n=" << n;
-    }
-  }
-}
-
-TEST_F(PrimitivesEdgeCases, InclusiveScanMatchesSequential) {
-  for (const std::size_t n : kSizes) {
-    const std::vector<std::uint64_t> in = ramp(n);
-    std::vector<std::uint64_t> out(n);
-    const std::uint64_t total =
-        prim::inclusive_scan(in.data(), out.data(), n);
-    std::uint64_t acc = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      acc += in[i];
-      EXPECT_EQ(out[i], acc) << "n=" << n << " i=" << i;
-    }
-    EXPECT_EQ(total, acc) << "n=" << n;
-  }
-}
-
-TEST_F(PrimitivesEdgeCases, ScanEmptyAndSingle) {
-  std::vector<int> out;
-  EXPECT_EQ(prim::exclusive_scan(std::vector<int>{}, out), 0);
-  EXPECT_TRUE(out.empty());
-
-  EXPECT_EQ(prim::exclusive_scan(std::vector<int>{7}, out), 7);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], 0);
-
-  int one = 5;
-  int inc = 0;
-  EXPECT_EQ(prim::inclusive_scan(&one, &inc, 1), 5);
-  EXPECT_EQ(inc, 5);
-}
-
 TEST_F(PrimitivesEdgeCases, PackAllFlagsSetAndClear) {
+  Workspace ws;
+  std::vector<std::uint32_t> out;
   for (const std::size_t n : kSizes) {
-    const auto all = prim::pack_index(n, [](std::size_t) { return true; });
-    ASSERT_EQ(all.size(), n) << "n=" << n;
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(all[i], i) << "n=" << n;
-    }
-    const auto none =
-        prim::pack_index(n, [](std::size_t) { return false; });
-    EXPECT_TRUE(none.empty()) << "n=" << n;
+    const std::vector<std::uint32_t> in = ids(n, 0);
+    EXPECT_EQ(prim::pack_into(in, [](std::size_t) { return true; }, out, ws),
+              n)
+        << "n=" << n;
+    EXPECT_EQ(out, in) << "n=" << n;
+    EXPECT_EQ(
+        prim::pack_into(in, [](std::size_t) { return false; }, out, ws), 0u)
+        << "n=" << n;
+    EXPECT_TRUE(out.empty()) << "n=" << n;
   }
 }
 
 TEST_F(PrimitivesEdgeCases, PackKeepsOrderAcrossBlockBoundaries) {
+  Workspace ws;
+  std::vector<std::uint32_t> out;
   for (const std::size_t n : kSizes) {
     const auto pred = [](std::size_t i) { return i % 3 == 1; };
-    const auto idx = prim::pack_index(n, pred);
+    const std::vector<std::uint32_t> in = ids(n, 100);
     std::vector<std::uint32_t> want;
     for (std::size_t i = 0; i < n; ++i) {
-      if (pred(i)) want.push_back(static_cast<std::uint32_t>(i));
+      if (pred(i)) want.push_back(in[i]);
     }
-    EXPECT_EQ(idx, want) << "n=" << n;
-
-    std::vector<std::uint32_t> values(n);
-    std::iota(values.begin(), values.end(), 100u);
-    const auto packed = prim::pack(values, pred);
-    ASSERT_EQ(packed.size(), want.size()) << "n=" << n;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(packed[i], want[i] + 100u) << "n=" << n;
-    }
+    EXPECT_EQ(prim::pack_into(in, pred, out, ws), want.size()) << "n=" << n;
+    EXPECT_EQ(out, want) << "n=" << n;
   }
 }
 
 TEST_F(PrimitivesEdgeCases, PackSingleElement) {
-  EXPECT_EQ(prim::pack_index(1, [](std::size_t) { return true; }),
-            std::vector<std::uint32_t>{0});
-  EXPECT_TRUE(
-      prim::pack_index(1, [](std::size_t) { return false; }).empty());
+  Workspace ws;
   const std::vector<int> one{42};
-  EXPECT_EQ(prim::filter(one, [](int v) { return v == 42; }), one);
-  EXPECT_TRUE(prim::filter(one, [](int v) { return v != 42; }).empty());
-}
-
-TEST_F(PrimitivesEdgeCases, HistogramMatchesSequentialCount) {
-  const std::size_t num_keys = 7;
-  for (const std::size_t n : kSizes) {
-    std::vector<std::uint32_t> keys(n);
-    hashing::SplitMix64 rng(n + 1);
-    for (auto& k : keys) {
-      k = static_cast<std::uint32_t>(rng.next_below(num_keys));
-    }
-    const auto counts = prim::histogram(
-        n, [&](std::size_t i) { return keys[i]; }, num_keys);
-    std::vector<std::uint32_t> want(num_keys, 0);
-    for (const auto k : keys) ++want[k];
-    EXPECT_EQ(counts, want) << "n=" << n;
-  }
-}
-
-TEST_F(PrimitivesEdgeCases, HistogramSingleKeyBucket) {
-  // All elements in one bucket (the "all flags set" shape for counting).
-  const std::size_t n = 8193;
-  const auto counts =
-      prim::histogram(n, [](std::size_t) { return std::size_t{0}; }, 1);
-  ASSERT_EQ(counts.size(), 1u);
-  EXPECT_EQ(counts[0], n);
+  std::vector<int> out;
+  EXPECT_EQ(prim::pack_into(one, [&](std::size_t i) { return one[i] == 42; },
+                            out, ws),
+            1u);
+  EXPECT_EQ(out, one);
+  EXPECT_EQ(prim::pack_into(one, [&](std::size_t i) { return one[i] != 42; },
+                            out, ws),
+            0u);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST_F(PrimitivesEdgeCases, CountingSortIsStable) {

@@ -25,7 +25,7 @@
 #include "parallel/parallel_for.hpp"
 #include "parallel/scheduler.hpp"
 #include "primitives/pack.hpp"
-#include "primitives/scan.hpp"
+#include "primitives/sort.hpp"
 #include "primitives/workspace.hpp"
 #include "service/batch_server.hpp"
 #include "service/snapshot.hpp"
@@ -125,7 +125,7 @@ TEST_F(RaceDetectTest, JoinedPhasesAreSerial) {
     data[i] = static_cast<int>(i);
   });
   long sum = 0;
-  par::parallel_for(0, data.size(), [&](std::size_t i) {
+  par::parallel_for(0, data.size(), [&](std::size_t) {
     PARCT_SHADOW_READ(analysis::buffer_cell(buf, 0));  // everyone reads 0
     sum += data[0];  // benign: loop is serial under the detector
   });
@@ -293,18 +293,18 @@ TEST_F(RaceDetectTest, LeaseNoncesAreFreshPerAcquire) {
 TEST_F(RaceDetectTest, WorkspaceReuseAcrossEpochsIsRaceFree) {
   // Steady-state pipelines re-lease the same physical blocks every epoch.
   // With fresh nonces per acquire the detector must stay silent across
-  // many reuse epochs of the fused scan+pack kernels.
+  // many reuse epochs of the fused scan+pack kernel and the merge sort.
   Session session(OnRace::kThrow);
   Workspace ws;
   std::vector<std::uint64_t> in(20000);
   for (std::size_t i = 0; i < in.size(); ++i) in[i] = i * 2654435761u;
   std::vector<std::uint64_t> packed;
-  std::vector<std::uint64_t> scanned(in.size());
   for (int epoch = 0; epoch < 4; ++epoch) {
     ws.epoch_reset();
     prim::pack_into(in, [&](std::size_t i) { return (in[i] & 1) == 0; },
                     packed, ws);
-    prim::exclusive_scan_into(in.data(), scanned.data(), in.size(), ws);
+    prim::parallel_sort_into(
+        packed, [](std::uint64_t a, std::uint64_t b) { return a < b; }, ws);
   }
   EXPECT_EQ(session.races_detected(), 0u);
   EXPECT_GT(ws.stats().hits, 0u);  // the blocks really were reused

@@ -1,80 +1,23 @@
-// Tests for worker-local reducers, blocked parallel loops and the
-// histogram / counting-sort primitives.
+// Tests for the stable counting-sort primitive at 1 and 4 workers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "hashing/splitmix64.hpp"
-#include "parallel/parallel_for.hpp"
-#include "parallel/reducers.hpp"
 #include "parallel/scheduler.hpp"
 #include "primitives/counting.hpp"
 
 namespace parct {
 namespace {
 
-class ReducersCounting : public ::testing::TestWithParam<unsigned> {
+class CountingSortTest : public ::testing::TestWithParam<unsigned> {
  protected:
   void SetUp() override { par::scheduler::initialize(GetParam()); }
   void TearDown() override { par::scheduler::initialize(1); }
 };
 
-TEST_P(ReducersCounting, SumReducerMatchesSerial) {
-  const std::size_t n = 200000;
-  par::SumReducer<long> sum(0);
-  par::parallel_for(0, n, [&](std::size_t i) {
-    sum.local() += static_cast<long>(i);
-  });
-  EXPECT_EQ(sum.reduce(), static_cast<long>(n) * (n - 1) / 2);
-  sum.reset();
-  EXPECT_EQ(sum.reduce(), 0);
-}
-
-TEST_P(ReducersCounting, MaxReducer) {
-  const std::size_t n = 50000;
-  hashing::SplitMix64 rng(3);
-  std::vector<int> v(n);
-  for (auto& x : v) x = static_cast<int>(rng.next_below(1000000));
-  par::MaxReducer<int> mx(INT_MIN);
-  par::parallel_for(0, n, [&](std::size_t i) {
-    mx.local() = std::max(mx.local(), v[i]);
-  });
-  EXPECT_EQ(mx.reduce(), *std::max_element(v.begin(), v.end()));
-}
-
-TEST_P(ReducersCounting, BlockedForCoversRangeDisjointly) {
-  const std::size_t n = 100000;
-  std::vector<std::uint8_t> hits(n, 0);
-  par::parallel_for_blocked(0, n, [&](std::size_t lo, std::size_t hi) {
-    EXPECT_LT(lo, hi);
-    for (std::size_t i = lo; i < hi; ++i) ++hits[i];
-  });
-  EXPECT_TRUE(std::all_of(hits.begin(), hits.end(),
-                          [](std::uint8_t h) { return h == 1; }));
-}
-
-TEST_P(ReducersCounting, BlockedForEmpty) {
-  bool called = false;
-  par::parallel_for_blocked(4, 4, [&](std::size_t, std::size_t) {
-    called = true;
-  });
-  EXPECT_FALSE(called);
-}
-
-TEST_P(ReducersCounting, HistogramMatchesSerial) {
-  const std::size_t n = 123456;
-  const std::size_t K = 37;
-  hashing::SplitMix64 rng(5);
-  std::vector<std::uint32_t> keys(n);
-  for (auto& k : keys) k = static_cast<std::uint32_t>(rng.next_below(K));
-  auto got = prim::histogram(n, [&](std::size_t i) { return keys[i]; }, K);
-  std::vector<std::uint32_t> expected(K, 0);
-  for (auto k : keys) ++expected[k];
-  EXPECT_EQ(got, expected);
-}
-
-TEST_P(ReducersCounting, CountingSortStableAndOrdered) {
+TEST_P(CountingSortTest, CountingSortStableAndOrdered) {
   const std::size_t n = 98765;
   const std::size_t K = 19;
   hashing::SplitMix64 rng(6);
@@ -97,7 +40,7 @@ TEST_P(ReducersCounting, CountingSortStableAndOrdered) {
                           [](std::uint8_t s) { return s == 1; }));
 }
 
-TEST_P(ReducersCounting, CountingSortEdgeCases) {
+TEST_P(CountingSortTest, CountingSortEdgeCases) {
   EXPECT_TRUE(prim::counting_sort_indices(
                   0, [](std::size_t) { return 0u; }, 1)
                   .empty());
@@ -112,7 +55,7 @@ TEST_P(ReducersCounting, CountingSortEdgeCases) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Workers, ReducersCounting,
+INSTANTIATE_TEST_SUITE_P(Workers, CountingSortTest,
                          ::testing::Values(1u, 4u),
                          [](const ::testing::TestParamInfo<unsigned>& info) {
                            return "p" + std::to_string(info.param);

@@ -1,14 +1,12 @@
-// Tests for the prefix-sum and compaction primitives.
+// Tests for the compaction primitive pack_into (the fused scan+pack),
+// checked against a sequential filter.
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <vector>
 
 #include "hashing/splitmix64.hpp"
 #include "parallel/scheduler.hpp"
 #include "primitives/pack.hpp"
-#include "primitives/scan.hpp"
-#include "primitives/sequence_ops.hpp"
 #include "primitives/workspace.hpp"
 
 namespace parct::prim {
@@ -27,125 +25,58 @@ std::vector<std::uint64_t> random_values(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-TEST_P(ScanPackTest, ExclusiveScanMatchesSerial) {
-  for (std::size_t n : {0, 1, 2, 5, 100, 4096, 4097, 100000}) {
-    auto in = random_values(n, n + 1);
-    std::vector<std::uint64_t> expected(n);
-    std::uint64_t acc = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      expected[i] = acc;
-      acc += in[i];
-    }
-    std::vector<std::uint64_t> out;
-    const std::uint64_t total = exclusive_scan(in, out);
-    EXPECT_EQ(total, acc) << "n=" << n;
-    EXPECT_EQ(out, expected) << "n=" << n;
+template <typename T, typename Pred>
+std::vector<T> sequential_filter(const std::vector<T>& in, const Pred& keep) {
+  std::vector<T> out;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    if (keep(i)) out.push_back(in[i]);
   }
+  return out;
 }
 
-TEST_P(ScanPackTest, ExclusiveScanInPlace) {
-  auto v = random_values(50000, 9);
-  auto expected = v;
-  std::uint64_t acc = 0;
-  for (auto& x : expected) {
-    std::uint64_t old = x;
-    x = acc;
-    acc += old;
-  }
-  const std::uint64_t total = exclusive_scan_inplace(v);
-  EXPECT_EQ(total, acc);
-  EXPECT_EQ(v, expected);
-}
-
-TEST_P(ScanPackTest, InclusiveScanMatchesSerial) {
-  for (std::size_t n : {0, 1, 17, 8192, 65537}) {
-    auto in = random_values(n, n + 3);
-    std::vector<std::uint64_t> expected(n);
-    std::uint64_t acc = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      acc += in[i];
-      expected[i] = acc;
-    }
-    std::vector<std::uint64_t> out(n);
-    const std::uint64_t total = inclusive_scan(in.data(), out.data(), n);
-    EXPECT_EQ(total, acc);
-    EXPECT_EQ(out, expected);
-  }
-}
-
-TEST_P(ScanPackTest, PackIndexKeepsOrder) {
-  const std::size_t n = 100000;
+TEST_P(ScanPackTest, PackIntoKeepsOrder) {
+  const auto in = random_values(100000, 3);
   auto keep = [](std::size_t i) { return (i % 7 == 0) || (i % 11 == 3); };
-  auto got = pack_index(n, keep);
-  std::vector<std::uint32_t> expected;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (keep(i)) expected.push_back(static_cast<std::uint32_t>(i));
-  }
-  EXPECT_EQ(got, expected);
-}
-
-TEST_P(ScanPackTest, PackAllAndNone) {
-  auto v = random_values(3000, 4);
-  EXPECT_EQ(pack(v, [](std::size_t) { return true; }), v);
-  EXPECT_TRUE(pack(v, [](std::size_t) { return false; }).empty());
-  EXPECT_TRUE(pack_index(0, [](std::size_t) { return true; }).empty());
-}
-
-TEST_P(ScanPackTest, FilterByValue) {
-  auto v = random_values(50000, 5);
-  auto got = filter(v, [](std::uint64_t x) { return x < 100; });
-  std::vector<std::uint64_t> expected;
-  for (auto x : v) {
-    if (x < 100) expected.push_back(x);
-  }
-  EXPECT_EQ(got, expected);
-}
-
-TEST_P(ScanPackTest, SequenceOps) {
-  auto t = tabulate(1000, [](std::size_t i) { return 2 * i; });
-  EXPECT_EQ(t[999], 1998u);
-  EXPECT_EQ(sum(t), 999u * 1000u);
-  EXPECT_EQ(iota(5), (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(count_if_index(1000, [](std::size_t i) { return i % 3 == 0; }),
-            334u);
-  EXPECT_TRUE(all_of_index(100, [](std::size_t i) { return i < 100; }));
-  EXPECT_FALSE(all_of_index(100, [](std::size_t i) { return i < 99; }));
-  std::vector<int> mv{3, -1, 7, 2};
-  EXPECT_EQ(max_value(mv), 7);
-}
-
-TEST_P(ScanPackTest, IntoVariantsMatchAllocating) {
-  // The destination-passing forms are drop-in equivalents of the classic
-  // signatures; reusing destinations + workspace across calls must not
-  // change any result.
   Workspace ws;
-  std::vector<std::uint64_t> scan_out;
-  std::vector<std::uint64_t> pack_out;
-  std::vector<std::uint32_t> idx_out;
-  for (std::size_t n : {0, 1, 2, 100, 4096, 4097, 100000}) {
-    auto in = random_values(n, n + 13);
+  std::vector<std::uint64_t> out;
+  const std::size_t kept = pack_into(in, keep, out, ws);
+  const auto want = sequential_filter(in, keep);
+  EXPECT_EQ(kept, want.size());
+  EXPECT_EQ(out, want);
+}
+
+TEST_P(ScanPackTest, PackIntoAllAndNone) {
+  const auto v = random_values(3000, 4);
+  Workspace ws;
+  std::vector<std::uint64_t> out;
+  EXPECT_EQ(pack_into(v, [](std::size_t) { return true; }, out, ws),
+            v.size());
+  EXPECT_EQ(out, v);
+  EXPECT_EQ(pack_into(v, [](std::size_t) { return false; }, out, ws), 0u);
+  EXPECT_TRUE(out.empty());
+  out.assign(5, 1);  // stale contents must not survive an empty input
+  EXPECT_EQ(pack_into(std::vector<std::uint64_t>{},
+                      [](std::size_t) { return true; }, out, ws),
+            0u);
+  EXPECT_TRUE(out.empty());
+}
+
+TEST_P(ScanPackTest, PackIntoReusedAcrossSizes) {
+  // One workspace and one destination reused across growing and shrinking
+  // inputs: reuse must not change any result.
+  Workspace ws;
+  std::vector<std::uint64_t> out;
+  for (std::size_t n : {100000, 0, 4097, 1, 4096, 2, 100}) {
+    const auto in = random_values(n, n + 13);
     auto keep = [&](std::size_t i) { return in[i] % 3 == 0; };
-
-    std::vector<std::uint64_t> scan_ref;
-    const std::uint64_t total_ref = exclusive_scan(in, scan_ref);
-    const std::uint64_t total_got = exclusive_scan_into(in, scan_out, ws);
-    EXPECT_EQ(total_got, total_ref) << "n=" << n;
-    EXPECT_EQ(scan_out, scan_ref) << "n=" << n;
-
-    const auto pack_ref = pack(in, keep);
-    const std::size_t kept = pack_into(in, keep, pack_out, ws);
-    EXPECT_EQ(kept, pack_ref.size()) << "n=" << n;
-    EXPECT_EQ(pack_out, pack_ref) << "n=" << n;
-
-    const auto idx_ref = pack_index(n, keep);
-    pack_index_into(n, keep, idx_out, ws);
-    EXPECT_EQ(idx_out, idx_ref) << "n=" << n;
-
-    EXPECT_EQ(filter_count(n, keep), pack_ref.size()) << "n=" << n;
+    const std::size_t kept = pack_into(in, keep, out, ws);
+    const auto want = sequential_filter(in, keep);
+    EXPECT_EQ(kept, want.size()) << "n=" << n;
+    EXPECT_EQ(out, want) << "n=" << n;
   }
 }
 
-TEST_P(ScanPackTest, IntoVariantsAreAllocationFreeWhenWarm) {
+TEST_P(ScanPackTest, PackIntoIsAllocationFreeWhenWarm) {
   Workspace ws;
   std::vector<std::uint64_t> out;
   std::vector<std::uint64_t> in = random_values(50000, 21);
@@ -163,26 +94,14 @@ TEST_P(ScanPackTest, IntoVariantsAreAllocationFreeWhenWarm) {
   EXPECT_EQ(d.acquires, d.hits);
 }
 
-TEST(ScanOverflowGuard, BoundaryAtTwoToTheThirtyTwo) {
-  // Satellite of the uint32 precondition (offsets_fit_uint32): drive the
-  // wide-total accumulation with synthetic per-block counts summing to
-  // exactly 2^32 — no 4 GiB input required. 2^20 blocks of 4096 hits each
-  // is one element past the last representable offset total.
-  const std::size_t num_blocks = std::size_t{1} << 20;
-  std::vector<std::uint32_t> counts(num_blocks, 4096u);
-  const std::uint64_t total = detail::wide_block_total(counts.data(),
-                                                       num_blocks);
-  EXPECT_EQ(total, std::uint64_t{1} << 32);
-  EXPECT_FALSE(offsets_fit_uint32(total));
-
-  counts[0] -= 1;  // 2^32 - 1: the largest total that still fits
-  const std::uint64_t at_max = detail::wide_block_total(counts.data(),
-                                                        num_blocks);
-  EXPECT_EQ(at_max, (std::uint64_t{1} << 32) - 1);
-  EXPECT_TRUE(offsets_fit_uint32(at_max));
-
-  // The guard must compare in 64 bits: a narrowed accumulator would wrap
-  // 2^32 to 0 and "fit". Totals beyond the boundary keep failing.
+TEST(PackOffsetsGuard, BoundaryAtTwoToTheThirtyTwo) {
+  // pack_into's precondition (offsets_fit_uint32) at the exact 2^32
+  // boundary — no 4 GiB input required. 2^32 - 1 is the largest kept
+  // total its 32-bit block offsets can place.
+  EXPECT_TRUE(offsets_fit_uint32((std::uint64_t{1} << 32) - 1));
+  EXPECT_FALSE(offsets_fit_uint32(std::uint64_t{1} << 32));
+  // The guard must compare in 64 bits: a narrowed total would wrap 2^32
+  // to 0 and "fit". Totals beyond the boundary keep failing.
   EXPECT_FALSE(offsets_fit_uint32((std::uint64_t{1} << 32) + 12345));
   EXPECT_TRUE(offsets_fit_uint32(0));
 }

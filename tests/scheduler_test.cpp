@@ -51,15 +51,6 @@ TEST_F(SchedulerTest, NestedForksComputeFibonacci) {
   EXPECT_EQ(Fib::run(20), 6765);
 }
 
-TEST_F(SchedulerTest, ParallelInvokeVariadic) {
-  scheduler::initialize(3);
-  std::atomic<int> mask{0};
-  parallel_invoke([&] { mask.fetch_or(1); }, [&] { mask.fetch_or(2); },
-                  [&] { mask.fetch_or(4); }, [&] { mask.fetch_or(8); },
-                  [&] { mask.fetch_or(16); });
-  EXPECT_EQ(mask.load(), 31);
-}
-
 TEST_F(SchedulerTest, ExceptionFromSecondBranchPropagates) {
   scheduler::initialize(2);
   EXPECT_THROW(

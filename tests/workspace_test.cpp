@@ -134,13 +134,6 @@ TEST(WorkspaceTest, StatsDeltaSubtractsCounters) {
   EXPECT_GT(d.bytes_allocated, 0u);
 }
 
-TEST(WorkspaceTest, WorkerWorkspaceIsStablePerThread) {
-  par::scheduler::initialize(2);
-  Workspace& a = par::scheduler::worker_workspace();
-  Workspace& b = par::scheduler::worker_workspace();
-  EXPECT_EQ(&a, &b);
-}
-
 // The steady-state acceptance property (and the peak-memory regression
 // guard): a warmed DynamicUpdater applies batch after batch with zero heap
 // allocations — every scratch acquire is a pool hit and no reused buffer
